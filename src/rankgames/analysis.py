@@ -23,6 +23,7 @@ from .errors import (
 )
 from .model import (
     ACTION,
+    DEFAULT_BUDGET,
     EXPOSURE,
     Game,
     Profile,
@@ -36,9 +37,7 @@ from .model import (
     topic_tables,
     utility_vector,
 )
-from .dynamics import Trajectory, better_responses, is_pne
-
-DEFAULT_BUDGET = 10**6
+from .dynamics import Trajectory, is_pne
 
 
 def _check_budget(game: Game, budget: int):
@@ -460,7 +459,8 @@ def analysis_report(
         report["longest_path"] = longest_improvement_path(graph)
     else:
         report["cycle"] = [list(p) for p in shortest_cycle(graph)]
-    report["pne"] = [list(a) for a in enumerate_pne(game, budget, margin)]
+    # the equilibria are the graph's sinks, already in canonical order
+    report["pne"] = [list(graph.profile_of(i)) for i, out in enumerate(graph.adj) if not out]
     pot = exact_potential_check(game, budget, tol)
     witness = None
     if pot.witness is not None:

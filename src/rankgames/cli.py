@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, RankgamesError, ValidationError
-from .model import ScoreFunction, game_from_dict
+from .model import DEFAULT_BUDGET, ScoreFunction, game_from_dict
 from .dynamics import (
     BEST,
     BETTER,
@@ -25,7 +25,7 @@ from .dynamics import (
     RoundRobin,
     trajectory_to_jsonl,
 )
-from .analysis import DEFAULT_BUDGET, analysis_report
+from .analysis import analysis_report
 from .dynamics import run_dynamics
 from .counterexamples import (
     build_action_cycle_game,

@@ -5,6 +5,12 @@ own utility, until no author can (a pure Nash equilibrium), a profile repeats
 (deterministic schedulers only, certifying an improvement cycle), or the step
 budget runs out. Deterministic schedulers pick the improving topic of lowest
 index; the seeded random scheduler picks uniformly among improving moves.
+
+Responses are evaluated with the deviation kernel (model.profile_state). A
+run builds one ProfileState per visited profile, in O(n + m), and every
+author visit at that profile reads its m deviations from it: O(1) each under
+prp and rand, O(writers on the target topic) under scoring. Utility vectors
+of visited profiles are not memoized.
 """
 
 from __future__ import annotations
@@ -15,13 +21,15 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import (
+    DEFAULT_BUDGET,
     Game,
     Profile,
+    ProfileState,
     check_profile,
     format_number,
     improves,
+    profile_state,
     replace_topic,
-    utility_vector,
 )
 
 BETTER = "better"
@@ -113,54 +121,51 @@ DynamicsOutcome = ConvergedPNE | RepeatDetected | BudgetExhausted
 
 # ---------- response computation ----------
 
+def _improving_moves(state: ProfileState, j: int, margin: float):
+    """(t, u_before, u_after) for each topic t that strictly improves author
+    j at state's profile, in ascending t."""
+    s = state.a[j - 1]
+    u0 = state.utility(j, s)
+    for t in state.kernel.topics:
+        if t != s:
+            u1 = state.utility(j, t)
+            if improves(u0, u1, margin):
+                yield t, u0, u1
+
+
 def better_responses(game: Game, a, j: int, margin: float = 0.0) -> dict:
     """Topics j can switch to for a strict gain, mapped to the new utility."""
-    a = tuple(a)
-    u0 = utility_vector(game, a)[j - 1]
-    out = {}
-    for t in range(1, game.m + 1):
-        if t == a[j - 1]:
-            continue
-        u1 = utility_vector(game, replace_topic(a, j, t))[j - 1]
-        if improves(u0, u1, margin):
-            out[t] = u1
-    return out
+    state = profile_state(game, tuple(a))
+    return {t: u1 for t, _, u1 in _improving_moves(state, j, margin)}
 
 
 def best_responses(game: Game, a, j: int) -> set[int]:
     """Argmax topics for j against a_{-j}; non-empty, may include a_j."""
-    a = tuple(a)
-    us = {}
-    for t in range(1, game.m + 1):
-        b = a if t == a[j - 1] else replace_topic(a, j, t)
-        us[t] = utility_vector(game, b)[j - 1]
+    state = profile_state(game, tuple(a))
+    us = {t: state.utility(j, t) for t in state.kernel.topics}
     top = max(us.values())
     return {t for t, u in us.items() if u == top}
 
 
 def is_pne(game: Game, a, margin: float = 0.0) -> bool:
     """True iff no author has a better response at a."""
-    a = tuple(a)
-    for j in range(1, game.n + 1):
-        if better_responses(game, a, j, margin):
-            return False
-    return True
+    state = profile_state(game, tuple(a))
+    return not any(
+        next(_improving_moves(state, j, margin), None) for j in range(1, game.n + 1)
+    )
 
 
-def _move_for(game, a, j, response, margin):
-    """The move j would make at a, as (to_topic, u_before, u_after), or None."""
-    u0 = utility_vector(game, a)[j - 1]
+def _move_for(state: ProfileState, j: int, response: str, margin: float):
+    """The move j would make at state's profile, as (to_topic, u_before,
+    u_after), or None."""
     if response == BETTER:
-        br = better_responses(game, a, j, margin)
-        if not br:
-            return None
-        t = min(br)
-        return t, u0, br[t]
-    t = min(best_responses(game, a, j))
-    if t == a[j - 1]:
-        return None
-    u1 = utility_vector(game, replace_topic(a, j, t))[j - 1]
-    if not improves(u0, u1, margin):
+        return next(_improving_moves(state, j, margin), None)
+    # the lowest-index best response, which may be j's current topic
+    us = [state.utility(j, t) for t in state.kernel.topics]
+    u1 = max(us)
+    t = us.index(u1) + 1
+    u0 = us[state.a[j - 1] - 1]
+    if t == state.a[j - 1] or not improves(u0, u1, margin):
         return None
     return t, u0, u1
 
@@ -168,8 +173,9 @@ def _move_for(game, a, j, response, margin):
 # ---------- the run loop ----------
 
 def default_max_steps(game: Game) -> int:
-    # a repeat-free path cannot visit more than m^n profiles
-    return game.m**game.n * game.n * game.m
+    # a repeat-free path cannot visit more than m^n profiles; the budget
+    # caps that bound so that a cycling run on a large game ends in time
+    return min(game.m**game.n * game.n * game.m, DEFAULT_BUDGET)
 
 
 def run_dynamics(
@@ -211,11 +217,12 @@ def run_dynamics(
     idle = 0  # consecutive round-robin visits without a move
 
     while True:
-        # pick the mover and her move
+        # pick the mover and her move; one state serves every visit at a
+        state = profile_state(game, a)
         move = None
         if isinstance(sched, FirstDeviator):
             for j in range(1, game.n + 1):
-                got = _move_for(game, a, j, response, margin)
+                got = _move_for(state, j, response, margin)
                 if got is not None:
                     move = (j, *got)
                     break
@@ -223,7 +230,7 @@ def run_dynamics(
             while idle < game.n:
                 j = order[ptr]
                 ptr = (ptr + 1) % game.n
-                got = _move_for(game, a, j, response, margin)
+                got = _move_for(state, j, response, margin)
                 if got is not None:
                     move = (j, *got)
                     idle = 0
@@ -233,11 +240,9 @@ def run_dynamics(
             candidates = []
             for j in range(1, game.n + 1):
                 if response == BETTER:
-                    u0 = utility_vector(game, a)[j - 1]
-                    for t, u1 in sorted(better_responses(game, a, j, margin).items()):
-                        candidates.append((j, t, u0, u1))
+                    candidates.extend((j, *mv) for mv in _improving_moves(state, j, margin))
                 else:
-                    got = _move_for(game, a, j, response, margin)
+                    got = _move_for(state, j, response, margin)
                     if got is not None:
                         candidates.append((j, *got))
             if candidates:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from .model import (
+    DEFAULT_BUDGET,
     EXPOSURE,
     SCHEMES,
     Game,
@@ -32,7 +33,6 @@ from .model import (
 )
 from .dynamics import FirstDeviator, RoundRobin, ConvergedPNE, run_dynamics
 from .analysis import (
-    DEFAULT_BUDGET,
     exact_potential_check,
     enumerate_pne,
     improvement_graph,

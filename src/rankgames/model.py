@@ -9,11 +9,18 @@ additionally times own quality (action scheme).
 Demand and quality are exact rationals so that quality ties, which drive the
 top-rank tie-splitting, are decided exactly. Scoring mediators evaluate their
 score function in floating point; everything else stays rational.
+
+Every utility is computed by one deviation kernel: a ProfileState holds the
+per-topic aggregates of a profile, from which any author's utility after a
+single-topic move follows in O(1) under prp and rand and in O(writers on the
+target topic) under scoring. rank_probabilities, top_quality and top_count
+are the direct definitions that the tests check the kernel against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -25,6 +32,10 @@ Profile = tuple[int, ...]
 EXPOSURE = "exposure"
 ACTION = "action"
 SCHEMES = (EXPOSURE, ACTION)
+
+# Bound on the profiles an exhaustive analysis enumerates and on the steps a
+# dynamics run takes when no step budget is given.
+DEFAULT_BUDGET = 10**6
 
 
 # ---------- rationals ----------
@@ -70,6 +81,9 @@ def format_number(x) -> str:
 
 def improves(u_old, u_new, margin: float = 0.0) -> bool:
     """True when u_new strictly exceeds u_old beyond the relative margin."""
+    if not margin:
+        # 0.0 * Fraction would convert through Fraction.from_float
+        return u_new > u_old
     return u_new - u_old > margin * max(abs(u_old), abs(u_new))
 
 
@@ -178,7 +192,8 @@ RAND = Mediator("rand")
 @dataclass(frozen=True)
 class Game:
     """Immutable game value: n authors, m topics, demand, quality, mediator,
-    utility scheme. All operations over it are pure; _cache only memoizes."""
+    utility scheme. All operations over it are pure; _cache only memoizes
+    (the deviation kernel's tables and the analysis memos)."""
 
     n: int
     m: int
@@ -315,18 +330,171 @@ def rank_probabilities(game: Game, k: int, a: Profile) -> dict:
     return {j: s / total for j, s in scores.items()}
 
 
+# ---------- the deviation kernel ----------
+
+_ZERO = Fraction(0)
+
+
+class _Kernel:
+    """Per-game tables of the deviation kernel, built once per game.
+
+    prp: each quality as an integer (its column scaled to a common
+    denominator), so top-quality comparisons are integer comparisons.
+    scoring: f(float(q)) per topic column, float demand and quality.
+    prp and rand: the exact shares D_t/h (times q_jt under action), filled
+    lazily, at most n*m*n entries.
+    """
+
+    def __init__(self, game: Game):
+        # no reference back to the game, which holds the kernel: games stay
+        # free of reference cycles and are released as soon as unused
+        self.m = game.m
+        self.demand = game.demand
+        self.quality = game.quality
+        self.topics = range(1, game.m + 1)
+        self.action = game.scheme == ACTION
+        self.shares: dict = {}
+        kind = game.mediator.kind
+        if kind == "prp":
+            cols = []
+            for col in zip(*game.quality):
+                lcd = math.lcm(*(q.denominator for q in col))
+                cols.append([q.numerator * (lcd // q.denominator) for q in col])
+            self.qkey = [list(row) for row in zip(*cols)]
+            self.state_class = _TopRankState
+        elif kind == "rand":
+            self.state_class = _UniformState
+        else:
+            f = game.mediator.f
+            self.demand_f = [float(w) for w in game.demand]
+            self.quality_f = [[float(q) for q in row] for row in game.quality]
+            self.score_cols = [[f(q) for q in col] for col in zip(*self.quality_f)]
+            self.state_class = _ScoringState
+
+    def share(self, j: int, t: int, h: int) -> Fraction:
+        """D_t/h, times q_jt under the action scheme: a writer's utility
+        when she is one of h equally ranked writers on topic t."""
+        key = (j, t, h) if self.action else (t, h)
+        s = self.shares.get(key)
+        if s is None:
+            s = self.demand[t - 1] * Fraction(1, h)
+            if self.action:
+                s = s * self.quality[j - 1][t - 1]
+            self.shares[key] = s
+        return s
+
+
+class ProfileState:
+    """Per-topic aggregates of one profile a.
+
+    utility(j, t) is author j's utility at a with her topic replaced by t;
+    t == a_j gives her utility at a itself. Build one per profile and ask it
+    about every deviation from that profile.
+    """
+
+    __slots__ = ("kernel", "a")
+
+    def __init__(self, kernel: _Kernel, a: Profile):
+        self.kernel = kernel
+        self.a = a
+
+    def utility(self, j: int, t: int):
+        raise NotImplementedError
+
+
+class _TopRankState(ProfileState):
+    # per topic: the top quality key among its writers (-1 when empty) and
+    # how many writers attain it
+    __slots__ = ("top", "ties")
+
+    def __init__(self, kernel, a):
+        super().__init__(kernel, a)
+        top = [-1] * kernel.m
+        ties = [0] * kernel.m
+        qkey = kernel.qkey
+        for j, t in enumerate(a):
+            r = qkey[j][t - 1]
+            b = top[t - 1]
+            if r > b:
+                top[t - 1] = r
+                ties[t - 1] = 1
+            elif r == b:
+                ties[t - 1] += 1
+        self.top = top
+        self.ties = ties
+
+    def utility(self, j, t):
+        r = self.kernel.qkey[j - 1][t - 1]
+        b = self.top[t - 1]
+        if self.a[j - 1] == t:
+            h = self.ties[t - 1] if r == b else 0
+        elif r > b:
+            h = 1
+        elif r == b:
+            h = self.ties[t - 1] + 1
+        else:
+            h = 0
+        return self.kernel.share(j, t, h) if h else _ZERO
+
+
+class _UniformState(ProfileState):
+    # per topic: the number of writers
+    __slots__ = ("count",)
+
+    def __init__(self, kernel, a):
+        super().__init__(kernel, a)
+        count = [0] * kernel.m
+        for t in a:
+            count[t - 1] += 1
+        self.count = count
+
+    def utility(self, j, t):
+        return self.kernel.share(j, t, self.count[t - 1] + (self.a[j - 1] != t))
+
+
+class _ScoringState(ProfileState):
+    # per topic: its writers as 0-based author indices, ascending
+    __slots__ = ("writers",)
+
+    def __init__(self, kernel, a):
+        super().__init__(kernel, a)
+        ws = [[] for _ in range(kernel.m)]
+        for j, t in enumerate(a):
+            ws[t - 1].append(j)
+        self.writers = ws
+
+    def utility(self, j, t):
+        # float operations in the order rank_probabilities and Fraction's
+        # float fallback apply them, so the result is bit-identical
+        k = self.kernel
+        ws = self.writers[t - 1]
+        if self.a[j - 1] != t:
+            i = bisect_left(ws, j - 1)
+            ws = ws[:i] + [j - 1] + ws[i:]
+        col = k.score_cols[t - 1]
+        total = sum(map(col.__getitem__, ws))
+        r = 1.0 / len(ws) if total == 0 else col[j - 1] / total
+        u = k.demand_f[t - 1] * r
+        if k.action:
+            u = u * k.quality_f[j - 1][t - 1]
+        return u
+
+
+def profile_state(game: Game, a: Profile) -> ProfileState:
+    """The deviation kernel's aggregates for profile a (a tuple)."""
+    kernel = game._cache.get("kernel")
+    if kernel is None:
+        kernel = game._cache["kernel"] = _Kernel(game)
+    return kernel.state_class(kernel, a)
+
+
 def utility(game: Game, a, j: int):
     """Author j's utility at profile a. Exact Fraction under prp/rand,
     float under a scoring mediator."""
     a = tuple(a)
     if not 1 <= j <= game.n:
         raise ValidationError(f"invalid author {j}")
-    k = a[j - 1]
-    r = rank_probabilities(game, k, a)[j]
-    u = game.demand[k - 1] * r
-    if game.scheme == ACTION:
-        u = u * game.quality[j - 1][k - 1]
-    return u
+    return profile_state(game, a).utility(j, a[j - 1])
 
 
 def utility_vector(game: Game, a) -> tuple:
@@ -334,17 +502,9 @@ def utility_vector(game: Game, a) -> tuple:
     a = tuple(a)
     cache = game._cache.setdefault("u", {})
     v = cache.get(a)
-    if v is not None:
-        return v
-    out = [None] * game.n
-    for k in set(a):
-        for j, r in rank_probabilities(game, k, a).items():
-            u = game.demand[k - 1] * r
-            if game.scheme == ACTION:
-                u = u * game.quality[j - 1][k - 1]
-            out[j - 1] = u
-    v = tuple(out)
-    cache[a] = v
+    if v is None:
+        state = profile_state(game, a)
+        v = cache[a] = tuple(state.utility(j, t) for j, t in enumerate(a, 1))
     return v
 
 

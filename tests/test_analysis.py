@@ -202,3 +202,15 @@ def test_analysis_report_cyclic():
     assert cyc[0] == cyc[-1]
     ok, _ = rg.verify_improvement_cycle(game, [tuple(p) for p in cyc])
     assert ok
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from((rg.PRP, rg.RAND, rg.Mediator.scoring(rg.ScoreFunction.power(2.0)))),
+    st.sampled_from((0.0, 1e-12)),
+)
+def test_analysis_report_pne_are_the_graph_sinks(seed, mediator, margin):
+    g = rg.generate_random_game(seed, 3, 2, denominator_bound=4, generic_Q=False,
+                                sorted_D=False, mediator=mediator)
+    rep = rg.analysis_report(g, margin=margin)
+    assert rep["pne"] == [list(a) for a in rg.enumerate_pne(g, margin=margin)]

@@ -133,6 +133,11 @@ def test_default_max_steps(exposure_example):
     assert rg.default_max_steps(exposure_example) == 9 * 2 * 3
 
 
+def test_default_max_steps_capped_at_budget():
+    g = rg.make_game(["1/10"] * 10, [["1/2"] * 10] * 100)
+    assert rg.default_max_steps(g) == 10**6 == rg.DEFAULT_BUDGET
+
+
 def test_best_response_converges(exposure_example):
     out = rg.run_dynamics(exposure_example, (2, 2), rg.RoundRobin(), response=rg.BEST)
     assert isinstance(out, rg.ConvergedPNE)
