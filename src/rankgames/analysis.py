@@ -11,6 +11,7 @@ top-rank games with all-ones quality.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .model import (
     replace_topic,
     topic_tables,
     utility_vector,
+    _utility_table,
 )
 from .dynamics import Trajectory, is_pne
 
@@ -70,39 +72,48 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
     """The complete single-author strict-improvement graph."""
     _check_budget(game, budget)
     n, m = game.n, game.m
-    n_nodes = m**n
+    table = _utility_table(game)
+    # moving author j by one topic moves the profile index by m^(n-j)
+    strides = [m ** (n - j) for j in range(1, n + 1)]
     adj: list[list[int]] = []
-    for a in iter_profiles(n, m):
-        u = utility_vector(game, a)
+    for i, a in enumerate(iter_profiles(n, m)):
+        u = table[i]
         out = []
-        for j in range(1, n + 1):
-            for t in range(1, m + 1):
-                if t == a[j - 1]:
-                    continue
-                b = replace_topic(a, j, t)
-                if improves(u[j - 1], utility_vector(game, b)[j - 1], margin):
-                    out.append(profile_index(b, m))
+        for j in range(n):
+            u0 = u[j]
+            w = strides[j]
+            first = i - (a[j] - 1) * w  # author j on topic 1
+            for t in range(m):
+                b = first + t * w
+                if b != i and improves(u0, table[b][j], margin):
+                    out.append(b)
         out.sort()
         adj.append(out)
-    return ImprovementGraph(game, n_nodes, adj, margin)
+    return ImprovementGraph(game, m**n, adj, margin)
 
 
-def _is_acyclic(adj: list[list[int]]) -> bool:
+def _topological_order(adj: list[list[int]]) -> list[int] | None:
+    """Kahn's algorithm: the nodes in a topological order, or None when the
+    graph has a cycle."""
     n = len(adj)
     indeg = [0] * n
     for out in adj:
         for v in out:
             indeg[v] += 1
     queue = deque(i for i in range(n) if indeg[i] == 0)
-    done = 0
+    order = []
     while queue:
         u = queue.popleft()
-        done += 1
+        order.append(u)
         for v in adj[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
-    return done == n
+    return order if len(order) == n else None
+
+
+def _is_acyclic(adj: list[list[int]]) -> bool:
+    return _topological_order(adj) is not None
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -221,23 +232,10 @@ def enumerate_pne(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0)
 def longest_improvement_path(graph: ImprovementGraph) -> int:
     """Edge count of the longest directed path; requires an acyclic graph."""
     adj = graph.adj
-    n = len(adj)
-    indeg = [0] * n
-    for out in adj:
-        for v in out:
-            indeg[v] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    topo = []
-    while queue:
-        u = queue.popleft()
-        topo.append(u)
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if len(topo) != n:
+    topo = _topological_order(adj)
+    if topo is None:
         raise CyclicGraphError("longest path is undefined on a cyclic graph")
-    depth = [0] * n
+    depth = [0] * len(adj)
     best = 0
     for u in topo:
         for v in adj[u]:
@@ -297,32 +295,60 @@ def potential_residual(game: Game, i: int, j: int, topics_i, topics_j, base) -> 
 def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> PotentialReport:
     """Evaluate the residual on every 2x2 subgame and report the worst.
 
-    Exact zero test under prp/rand; |residual| <= tol under scoring.
+    Exact zero test under prp/rand; |residual| <= tol under scoring. Each
+    subgame's residual is potential_residual's four-term expression, read
+    from the game's utility table. Under prp/rand the table is first scaled
+    to integers over the lcm L of its denominators, so the residuals are
+    integer sums and the worst one is reported as a Fraction over L.
     """
     _check_budget(game, budget)
     n, m = game.n, game.m
     exact = game.mediator.kind != "scoring"
-    worst = Fraction(0) if exact else 0.0
+    if n < 2 or m < 2:  # no 2x2 subgame
+        return PotentialReport(True, Fraction(0) if exact else 0.0, None)
+    worst = 0 if exact else 0.0
     witness = None
-    others_profiles = list(iter_profiles(max(n - 2, 0), m)) or [()]
+    # cols[k][x]: author k+1's utility at the profile of index x
+    cols = list(zip(*_utility_table(game)))
+    if exact:
+        lcd = math.lcm(*{u.denominator for col in cols for u in col})
+        cols = [[u.numerator * (lcd // u.denominator) for u in col] for col in cols]
+    strides = [m ** (n - j) for j in range(1, n + 1)]
+    pairs = [(s1, s2) for s1 in range(m - 1) for s2 in range(s1 + 1, m)]
+    others_profiles = list(iter_profiles(n - 2, m))
     for i in range(1, n):
+        wi = strides[i - 1]
         for j in range(i + 1, n + 1):
+            wj = strides[j - 1]
+            ci, cj = cols[i - 1], cols[j - 1]
+            span = (m - 1) * wj + 1
             rest_idx = [r for r in range(1, n + 1) if r not in (i, j)]
             for rest in others_profiles:
                 base = [1] * n
                 for r, t in zip(rest_idx, rest):
                     base[r - 1] = t
                 base = tuple(base)
-                for s1 in range(1, m):
-                    for s2 in range(s1 + 1, m + 1):
-                        for t1 in range(1, m):
-                            for t2 in range(t1 + 1, m + 1):
-                                res = potential_residual(game, i, j, (s1, s2), (t1, t2), base)
-                                if abs(res) > worst:
-                                    worst = abs(res)
-                                    witness = PotentialWitness((i, j), (s1, s2), (t1, t2), base)
-    has = worst == 0 if exact else worst <= tol
-    return PotentialReport(has, worst, witness)
+                b0 = profile_index(base, m)
+                # the subgame's m x m blocks: u[s][t] and v[s][t] are i's and
+                # j's utilities with i on topic s+1 and j on topic t+1
+                starts = [b0 + s * wi for s in range(m)]
+                u = [ci[x:x + span:wj] for x in starts]
+                v = [cj[x:x + span:wj] for x in starts]
+                for s1, s2 in pairs:
+                    u1, u2, v1, v2 = u[s1], u[s2], v[s1], v[s2]
+                    for t1, t2 in pairs:
+                        # potential_residual's terms, in its order
+                        res = (u2[t1] - u1[t1] + v2[t2] - v2[t1]
+                               + u1[t2] - u2[t2] + v1[t1] - v1[t2])
+                        if abs(res) > worst:
+                            worst = abs(res)
+                            witness = PotentialWitness(
+                                (i, j), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), base
+                            )
+    if exact:
+        worst = Fraction(worst, lcd)
+        return PotentialReport(worst == 0, worst, witness)
+    return PotentialReport(worst <= tol, worst, witness)
 
 
 # ---------- path invariants ----------

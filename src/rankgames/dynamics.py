@@ -26,6 +26,7 @@ from .model import (
     Profile,
     ProfileState,
     check_profile,
+    _check_mover,
     format_number,
     improves,
     profile_state,
@@ -135,13 +136,13 @@ def _improving_moves(state: ProfileState, j: int, margin: float):
 
 def better_responses(game: Game, a, j: int, margin: float = 0.0) -> dict:
     """Topics j can switch to for a strict gain, mapped to the new utility."""
-    state = profile_state(game, tuple(a))
+    state = profile_state(game, _check_mover(game, a, j))
     return {t: u1 for t, _, u1 in _improving_moves(state, j, margin)}
 
 
 def best_responses(game: Game, a, j: int) -> set[int]:
     """Argmax topics for j against a_{-j}; non-empty, may include a_j."""
-    state = profile_state(game, tuple(a))
+    state = profile_state(game, _check_mover(game, a, j))
     us = {t: state.utility(j, t) for t in state.kernel.topics}
     top = max(us.values())
     return {t for t, u in us.items() if u == top}
@@ -149,7 +150,7 @@ def best_responses(game: Game, a, j: int) -> set[int]:
 
 def is_pne(game: Game, a, margin: float = 0.0) -> bool:
     """True iff no author has a better response at a."""
-    state = profile_state(game, tuple(a))
+    state = profile_state(game, check_profile(game, a))
     return not any(
         next(_improving_moves(state, j, margin), None) for j in range(1, game.n + 1)
     )

@@ -34,7 +34,6 @@ from .model import (
 from .dynamics import FirstDeviator, RoundRobin, ConvergedPNE, run_dynamics
 from .analysis import (
     exact_potential_check,
-    enumerate_pne,
     improvement_graph,
     longest_improvement_path,
     shortest_cycle,
@@ -301,8 +300,9 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
         row = {"seed": game_seed, "n": n, "m": m,
                "mediator": config.mediator.kind, "scheme": config.scheme}
         try:
-            if "fip" in config.checks:
+            if "fip" in config.checks or "pne" in config.checks:
                 graph = improvement_graph(game, config.budget)
+            if "fip" in config.checks:
                 acyclic = _is_acyclic(graph.adj)
                 row["fip"] = acyclic
                 fips.append(acyclic)
@@ -312,7 +312,8 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
                     witness = shortest_cycle(graph)
                     cycles.append([list(p) for p in witness])
             if "pne" in config.checks:
-                row["pne_count"] = len(enumerate_pne(game, config.budget))
+                # the equilibria are the graph's sinks
+                row["pne_count"] = sum(1 for out in graph.adj if not out)
             if "potential" in config.checks:
                 pot = exact_potential_check(game, config.budget)
                 row["potential_exists"] = pot.has_exact_potential

@@ -14,7 +14,9 @@ Every utility is computed by one deviation kernel: a ProfileState holds the
 per-topic aggregates of a profile, from which any author's utility after a
 single-topic move follows in O(1) under prp and rand and in O(writers on the
 target topic) under scoring. rank_probabilities, top_quality and top_count
-are the direct definitions that the tests check the kernel against.
+are the direct definitions that the tests check the kernel against. The
+exhaustive analyses read every profile's utilities from one table per game,
+built from the kernel once they have checked the enumeration budget.
 """
 
 from __future__ import annotations
@@ -193,7 +195,8 @@ RAND = Mediator("rand")
 class Game:
     """Immutable game value: n authors, m topics, demand, quality, mediator,
     utility scheme. All operations over it are pure; _cache only memoizes
-    (the deviation kernel's tables and the analysis memos)."""
+    (the deviation kernel's tables, the utility table of the exhaustive
+    analyses and the top-rank table memo)."""
 
     n: int
     m: int
@@ -234,6 +237,13 @@ def check_profile(game: Game, a) -> Profile:
     for t in a:
         if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= game.m:
             raise ValidationError(f"invalid topic {t!r} in profile")
+    return a
+
+
+def _check_mover(game: Game, a, j: int) -> Profile:
+    a = check_profile(game, a)
+    if not 1 <= j <= game.n:
+        raise ValidationError(f"invalid author {j}")
     return a
 
 
@@ -488,24 +498,37 @@ def profile_state(game: Game, a: Profile) -> ProfileState:
     return kernel.state_class(kernel, a)
 
 
+def _utility_table(game: Game) -> list[tuple]:
+    """Every profile's utility vector, in profile_index order, built once
+    per game: m^n * n entries, so only callers that have checked the
+    enumeration budget may ask for it."""
+    table = game._cache.get("table")
+    if table is None:
+        table = game._cache["table"] = [
+            _vector(profile_state(game, a)) for a in iter_profiles(game.n, game.m)
+        ]
+    return table
+
+
+def _vector(state: ProfileState) -> tuple:
+    return tuple(state.utility(j, t) for j, t in enumerate(state.a, 1))
+
+
 def utility(game: Game, a, j: int):
     """Author j's utility at profile a. Exact Fraction under prp/rand,
     float under a scoring mediator."""
-    a = tuple(a)
-    if not 1 <= j <= game.n:
-        raise ValidationError(f"invalid author {j}")
+    a = _check_mover(game, a, j)
     return profile_state(game, a).utility(j, a[j - 1])
 
 
 def utility_vector(game: Game, a) -> tuple:
-    """All n utilities at profile a, memoized per game."""
-    a = tuple(a)
-    cache = game._cache.setdefault("u", {})
-    v = cache.get(a)
-    if v is None:
-        state = profile_state(game, a)
-        v = cache[a] = tuple(state.utility(j, t) for j, t in enumerate(a, 1))
-    return v
+    """All n utilities at profile a; read from the game's utility table
+    once an exhaustive analysis has built it."""
+    a = check_profile(game, a)
+    table = game._cache.get("table")
+    if table is not None:
+        return table[profile_index(a, game.m)]
+    return _vector(profile_state(game, a))
 
 
 # ---------- serialization ----------
