@@ -246,6 +246,15 @@ def longest_improvement_path(graph: ImprovementGraph) -> int:
     return best
 
 
+def _path_or_cycle(graph: ImprovementGraph) -> tuple[bool, object]:
+    """(True, longest path length) on an acyclic graph, else (False, a
+    shortest improvement cycle): one topological sort per graph."""
+    try:
+        return True, longest_improvement_path(graph)
+    except CyclicGraphError:
+        return False, shortest_cycle(graph)
+
+
 # ---------- exact potential ----------
 
 @dataclass(frozen=True)
@@ -479,12 +488,12 @@ def analysis_report(
     """Full analysis as a JSON-ready dict: fip (+ cycle witness), pne list,
     longest path (acyclic case), and the exact-potential report."""
     graph = improvement_graph(game, budget, margin)
-    acyclic = _is_acyclic(graph.adj)
+    acyclic, found = _path_or_cycle(graph)
     report: dict = {"fip": acyclic}
     if acyclic:
-        report["longest_path"] = longest_improvement_path(graph)
+        report["longest_path"] = found
     else:
-        report["cycle"] = [list(p) for p in shortest_cycle(graph)]
+        report["cycle"] = [list(p) for p in found]
     # the equilibria are the graph's sinks, already in canonical order
     report["pne"] = [list(graph.profile_of(i)) for i, out in enumerate(graph.adj) if not out]
     pot = exact_potential_check(game, budget, tol)

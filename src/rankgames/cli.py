@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, RankgamesError, ValidationError
-from .model import DEFAULT_BUDGET, ScoreFunction, game_from_dict
+from .model import _SCORE_KINDS, DEFAULT_BUDGET, ScoreFunction, game_from_dict
 from .dynamics import (
     BEST,
     BETTER,
@@ -34,9 +34,6 @@ from .counterexamples import (
     bundle_to_dict,
 )
 from .harness import config_from_dict, format_example_tables, run_experiment_suite
-
-_SCORE_KINDS = ("identity", "constant", "power", "exponential", "exp-minus-one")
-
 
 def _load_game(path: str):
     try:
@@ -208,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="build a cycling game for a score scheme")
     p.add_argument("construction", choices=("thm3", "thm4", "thm5"))
-    p.add_argument("--f", choices=_SCORE_KINDS, default="identity")
+    p.add_argument(
+        "--f", choices=[k.replace("_", "-") for k in _SCORE_KINDS], default="identity"
+    )
     p.add_argument("--param", type=float, help="exponent or scale for --f")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -224,9 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, not at import, and reused by later calls
+# in the same process; parse_args leaves the parser unchanged
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

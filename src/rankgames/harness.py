@@ -35,9 +35,7 @@ from .dynamics import FirstDeviator, RoundRobin, ConvergedPNE, run_dynamics
 from .analysis import (
     exact_potential_check,
     improvement_graph,
-    longest_improvement_path,
-    shortest_cycle,
-    _is_acyclic,
+    _path_or_cycle,
 )
 
 
@@ -303,14 +301,13 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
             if "fip" in config.checks or "pne" in config.checks:
                 graph = improvement_graph(game, config.budget)
             if "fip" in config.checks:
-                acyclic = _is_acyclic(graph.adj)
+                acyclic, found = _path_or_cycle(graph)
                 row["fip"] = acyclic
                 fips.append(acyclic)
                 if acyclic:
-                    row["max_path_len"] = longest_improvement_path(graph)
+                    row["max_path_len"] = found
                 else:
-                    witness = shortest_cycle(graph)
-                    cycles.append([list(p) for p in witness])
+                    cycles.append([list(p) for p in found])
             if "pne" in config.checks:
                 # the equilibria are the graph's sinks
                 row["pne_count"] = sum(1 for out in graph.adj if not out)

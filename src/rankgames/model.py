@@ -51,6 +51,18 @@ def as_rational(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        try:
+            if type(x) is str:
+                # integer fast path for the ASCII "p/q" form game_to_dict
+                # writes; any other spelling is left to Fraction(x). A zero
+                # denominator or an over-long half raises as in Fraction(x).
+                num, _, den = x.partition("/")
+                if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+                    return Fraction(int(num), int(den))
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"cannot parse rational {x!r}") from exc
     if isinstance(x, bool):
         raise ValidationError(f"not a rational value: {x!r}")
     if isinstance(x, int):
@@ -59,11 +71,6 @@ def as_rational(x) -> Fraction:
         if not math.isfinite(x):
             raise ValidationError(f"not a rational value: {x!r}")
         return Fraction(repr(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse rational {x!r}") from exc
     raise ValidationError(f"not a rational value: {x!r}")
 
 
@@ -219,14 +226,20 @@ class Game:
             raise ValidationError("demand weights must sum to exactly 1")
         if len(self.quality) != self.n or any(len(row) != self.m for row in self.quality):
             raise ValidationError("quality matrix must be n x m")
-        if any(q < 0 or q > 1 for row in self.quality for q in row):
+        # a Fraction's denominator is positive, so 0 <= q <= 1 is an integer
+        # comparison of its numerator and denominator
+        if any(
+            not 0 <= q.numerator <= q.denominator if type(q) is Fraction else q < 0 or q > 1
+            for row in self.quality
+            for q in row
+        ):
             raise ValidationError("quality entries must lie in [0, 1]")
 
 
 def make_game(demand, quality, mediator: Mediator = PRP, scheme: str = EXPOSURE) -> Game:
     """Build a Game from loosely typed demand/quality values."""
-    d = tuple(as_rational(w) for w in demand)
-    q = tuple(tuple(as_rational(v) for v in row) for row in quality)
+    d = tuple(map(as_rational, demand))
+    q = tuple(tuple(map(as_rational, row)) for row in quality)
     return Game(n=len(q), m=len(d), demand=d, quality=q, mediator=mediator, scheme=scheme)
 
 
@@ -544,7 +557,7 @@ def score_from_dict(d) -> ScoreFunction:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValidationError("score function document needs a 'kind'")
     param = d.get("param")
-    if param is not None and not isinstance(param, (int, float)):
+    if param is not None and (isinstance(param, bool) or not isinstance(param, (int, float))):
         raise ValidationError("score function 'param' must be a number")
     return ScoreFunction(d["kind"], None if param is None else float(param))
 
@@ -580,6 +593,14 @@ def game_from_dict(d) -> Game:
     for key in ("D", "Q", "mediator", "utility"):
         if key not in d:
             raise ValidationError(f"game document is missing {key!r}")
+    # a string or a mapping would otherwise be iterated character by character
+    # or key by key
+    if not isinstance(d["D"], (list, tuple)):
+        raise ValidationError("game document 'D' must be an array")
+    if not isinstance(d["Q"], (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in d["Q"]
+    ):
+        raise ValidationError("game document 'Q' must be an array of arrays")
     game = make_game(
         d["D"],
         d["Q"],
