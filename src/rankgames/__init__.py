@@ -99,86 +99,3 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTION",
-    "BEST",
-    "BETTER",
-    "BudgetExceededError",
-    "BudgetExhausted",
-    "CYCLE",
-    "ConvergedPNE",
-    "CounterexampleBundle",
-    "CyclicGraphError",
-    "DEFAULT_BUDGET",
-    "EXPOSURE",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FirstDeviator",
-    "Game",
-    "ImprovementGraph",
-    "Mediator",
-    "PRP",
-    "PathInvariantReport",
-    "PotentialReport",
-    "PotentialWitness",
-    "PreconditionError",
-    "RAND",
-    "RandomOrder",
-    "RankgamesError",
-    "RepeatDetected",
-    "RoundRobin",
-    "ScoreFunction",
-    "SearchError",
-    "Step",
-    "Trajectory",
-    "TrajectoryError",
-    "ValidationError",
-    "analysis_report",
-    "as_rational",
-    "best_responses",
-    "better_responses",
-    "build_action_cycle_game",
-    "build_band_cycle_game",
-    "build_exposure_cycle_game",
-    "bundle_to_dict",
-    "closed_cycle",
-    "default_max_steps",
-    "enumerate_pne",
-    "exact_potential_check",
-    "example_game",
-    "example_tables",
-    "find_action_triple",
-    "find_exposure_triple",
-    "format_rational",
-    "game_from_dict",
-    "game_to_dict",
-    "generate_random_game",
-    "greedy_assignment_pne",
-    "has_fip",
-    "improvement_graph",
-    "improves",
-    "is_non_decreasing",
-    "is_pne",
-    "iter_profiles",
-    "longest_improvement_path",
-    "make_game",
-    "path_invariant_report",
-    "potential_residual",
-    "rand_to_prp_reduction",
-    "rank_probabilities",
-    "replace_topic",
-    "run_dynamics",
-    "run_experiment_suite",
-    "shortest_cycle",
-    "solve_action_epsilon",
-    "solve_band_epsilon",
-    "solve_exposure_epsilon",
-    "top_count",
-    "top_quality",
-    "trajectory_to_jsonl",
-    "utility",
-    "utility_vector",
-    "verify_improvement_cycle",
-    "writers",
-]

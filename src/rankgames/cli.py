@@ -35,15 +35,15 @@ from .counterexamples import (
 )
 from .harness import config_from_dict, format_example_tables, run_experiment_suite
 
-def _load_game(path: str):
+
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return game_from_dict(data)
 
 
 def _write_output(text: str, out: str | None):
@@ -79,17 +79,13 @@ def _make_scheduler(args):
 
 def _make_score(args) -> ScoreFunction:
     kind = args.f.replace("-", "_")
-    if args.param is not None:
-        if kind == "power":
-            return ScoreFunction.power(args.param)
-        if kind == "exponential":
-            return ScoreFunction.exponential(args.param)
+    if args.param is not None and kind not in ("power", "exponential"):
         raise ValidationError(f"--param is not accepted with --f {args.f}")
-    if kind == "power":
+    if kind == "power" and args.param is None:
         raise ValidationError("--f power requires --param")
-    if kind == "exponential":
+    if kind == "exponential" and args.param is None:
         return ScoreFunction.exponential(1.0)
-    return ScoreFunction(kind)
+    return ScoreFunction(kind, args.param)
 
 
 def _cmd_example(args) -> int:
@@ -98,14 +94,14 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    game = _load_game(args.game)
+    game = game_from_dict(_read_json(args.game))
     report = analysis_report(game, budget=args.budget, margin=args.margin, tol=args.tol)
     _write_output(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    game = _load_game(args.game)
+    game = game_from_dict(_read_json(args.game))
     init = _parse_profile(args.init, game.n)
     sched = _make_scheduler(args)
     outcome = run_dynamics(
@@ -151,14 +147,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{args.config} is not valid JSON: {exc}") from exc
-    config = config_from_dict(data)
+    config = config_from_dict(_read_json(args.config))
     report = run_experiment_suite(config, out_dir=args.output)
     if args.output is None:
         sys.stdout.write(report.to_csv())

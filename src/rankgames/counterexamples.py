@@ -197,6 +197,17 @@ def solve_exposure_epsilon(c1: float, c2: float) -> Fraction:
     return _halving_epsilon(Fraction(1, 4), accept, "the exposure construction")
 
 
+def _verified_bundle(
+    demand, quality, f: ScoreFunction, scheme: str, what: str, params: dict
+) -> CounterexampleBundle:
+    """The constructed game with its cycle, once the cycle verifies."""
+    game = make_game(demand, quality, Mediator.scoring(f), scheme)
+    ok, _ = verify_improvement_cycle(game, closed_cycle())
+    if not ok:
+        raise SearchError(f"constructed {what} game failed cycle verification")
+    return CounterexampleBundle(game, closed_cycle(), params)
+
+
 def build_exposure_cycle_game(f: ScoreFunction, x1: float = 1.0) -> CounterexampleBundle:
     """Exposure-scheme scoring game with a verified 6-step improvement cycle.
 
@@ -213,12 +224,8 @@ def build_exposure_cycle_game(f: ScoreFunction, x1: float = 1.0) -> Counterexamp
         (x2, 0, x3),
         (0, x3, x2),
     )
-    game = make_game(demand, quality, Mediator.scoring(f), EXPOSURE)
-    ok, _ = verify_improvement_cycle(game, closed_cycle())
-    if not ok:
-        raise SearchError("constructed exposure game failed cycle verification")
     params = {"x1": x1, "x2": x2, "x3": x3, "c1": c1, "c2": c2, "epsilon": eps}
-    return CounterexampleBundle(game, closed_cycle(), params)
+    return _verified_bundle(demand, quality, f, EXPOSURE, "exposure", params)
 
 
 # ---------- action-scheme construction ----------
@@ -292,12 +299,8 @@ def build_action_cycle_game(f: ScoreFunction, alpha: float, x1: float = 1.0) -> 
         (x2, 0, x2),
         (0, x3, x2),
     )
-    game = make_game(demand, quality, Mediator.scoring(f), ACTION)
-    ok, _ = verify_improvement_cycle(game, closed_cycle())
-    if not ok:
-        raise SearchError("constructed action game failed cycle verification")
     params = {"x1": x1, "x2": x2, "x3": x3, "c1": c1, "c2": c2, "alpha": alpha, "epsilon": eps}
-    return CounterexampleBundle(game, closed_cycle(), params)
+    return _verified_bundle(demand, quality, f, ACTION, "action", params)
 
 
 # ---------- linear-band construction ----------
@@ -364,9 +367,5 @@ def build_band_cycle_game(
         (x2, 0, x2),
         (0, x3, x2),
     )
-    game = make_game(demand, quality, Mediator.scoring(f), ACTION)
-    ok, _ = verify_improvement_cycle(game, closed_cycle())
-    if not ok:
-        raise SearchError("constructed linear-band game failed cycle verification")
     params = {"x1": x1, "x2": x2, "x3": x3, "z": zf, "epsilon": eps}
-    return CounterexampleBundle(game, closed_cycle(), params)
+    return _verified_bundle(demand, quality, f, ACTION, "linear-band", params)

@@ -10,7 +10,8 @@ Responses are evaluated with the deviation kernel (model.profile_state). A
 run builds one ProfileState per visited profile, in O(n + m), and every
 author visit at that profile reads its m deviations from it: O(1) each under
 prp and rand, O(writers on the target topic) under scoring. Utility vectors
-of visited profiles are not memoized.
+of visited profiles are not memoized; only the all-starts pass, which visits
+every profile anyway, keeps each profile's state and moves.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .model import (
     _check_mover,
     format_number,
     improves,
+    iter_profiles,
     profile_state,
     replace_topic,
 )
@@ -266,6 +268,74 @@ def run_dynamics(
             repeat_seen = True
         else:
             seen[a] = len(steps)
+
+
+# ---------- every start at once ----------
+
+_UNSEEN = object()
+
+
+def _converge_from_every_start(game: Game) -> tuple[bool, int]:
+    """(converged, worst) over the better-response runs at margin 0 from
+    every start under RoundRobin() and FirstDeviator(): whether all of them
+    converge within default_max_steps, and the most steps any of them takes.
+
+    Valid only when the improvement graph is acyclic. No run can then revisit
+    a profile, so the steps still to go depend only on the run's state: the
+    profile and the next round-robin position, or the profile alone for the
+    first deviator. One memo per scheduler gives every start in one
+    iterative pass. Both share one kernel state per profile and each
+    author's move there, computed when first asked for.
+    """
+    n = game.n
+    seen: dict[Profile, tuple] = {}  # profile -> (state, per-author next profile)
+
+    def move(a: Profile, j: int):
+        """The profile after author j+1's better response at a, or None."""
+        got = seen.get(a)
+        if got is None:
+            got = seen[a] = (profile_state(game, a), [_UNSEEN] * n)
+        state, succ = got
+        b = succ[j]
+        if b is _UNSEEN:
+            mv = _move_for(state, j + 1, BETTER, 0.0)
+            b = succ[j] = None if mv is None else replace_topic(a, j + 1, mv[0])
+        return b
+
+    def next_round_robin(key):
+        a, p = key
+        for k in range(p, p + n):
+            b = move(a, k % n)
+            if b is not None:
+                return b, (k + 1) % n
+        return None
+
+    def next_first_deviator(a):
+        got = next_round_robin((a, 0))
+        return got and got[0]
+
+    worst = 0
+    starts = list(iter_profiles(n, game.m))
+    for step, keys in (
+        (next_round_robin, [(a, 0) for a in starts]),
+        (next_first_deviator, starts),
+    ):
+        memo = {}  # run state -> steps still to go
+        for key in keys:
+            path = []
+            while key not in memo:
+                nxt = step(key)
+                if nxt is None:
+                    memo[key] = 0
+                    break
+                path.append(key)
+                key = nxt
+            r = memo[key]
+            for k in reversed(path):
+                r += 1
+                memo[k] = r
+        worst = max(worst, max(memo[k] for k in keys))
+    return worst <= default_max_steps(game), worst
 
 
 # ---------- serialization ----------

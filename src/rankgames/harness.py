@@ -31,7 +31,13 @@ from .model import (
     mediator_to_dict,
     utility_vector,
 )
-from .dynamics import FirstDeviator, RoundRobin, ConvergedPNE, run_dynamics
+from .dynamics import (
+    ConvergedPNE,
+    FirstDeviator,
+    RoundRobin,
+    _converge_from_every_start,
+    run_dynamics,
+)
 from .analysis import (
     exact_potential_check,
     improvement_graph,
@@ -268,6 +274,21 @@ class ExperimentReport:
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _converge_per_start(game: Game) -> tuple[bool, int]:
+    """(converged, worst) over better-response runs from every start under
+    RoundRobin() and FirstDeviator(), one run_dynamics call per run."""
+    worst = 0
+    converged = True
+    for init in iter_profiles(game.n, game.m):
+        for sched in (RoundRobin(), FirstDeviator()):
+            outcome = run_dynamics(game, init, sched)
+            if isinstance(outcome, ConvergedPNE):
+                worst = max(worst, outcome.steps_taken)
+            else:
+                converged = False
+    return converged, worst
+
+
 def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run the configured checks over seeded random games.
 
@@ -298,10 +319,11 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
         row = {"seed": game_seed, "n": n, "m": m,
                "mediator": config.mediator.kind, "scheme": config.scheme}
         try:
-            if "fip" in config.checks or "pne" in config.checks:
+            if not {"fip", "pne", "dynamics"}.isdisjoint(config.checks):
                 graph = improvement_graph(game, config.budget)
-            if "fip" in config.checks:
+            if "fip" in config.checks or "dynamics" in config.checks:
                 acyclic, found = _path_or_cycle(graph)
+            if "fip" in config.checks:
                 row["fip"] = acyclic
                 fips.append(acyclic)
                 if acyclic:
@@ -316,15 +338,12 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
                 row["potential_exists"] = pot.has_exact_potential
                 potentials.append(pot.has_exact_potential)
             if "dynamics" in config.checks:
-                worst = 0
-                converged = True
-                for init in iter_profiles(n, m):
-                    for sched in (RoundRobin(), FirstDeviator()):
-                        outcome = run_dynamics(game, init, sched)
-                        if isinstance(outcome, ConvergedPNE):
-                            worst = max(worst, outcome.steps_taken)
-                        else:
-                            converged = False
+                if acyclic:
+                    converged, worst = _converge_from_every_start(game)
+                else:
+                    # a repeat is keyed by profile, not by run state, so
+                    # cyclic games run from each start on their own
+                    converged, worst = _converge_per_start(game)
                 row["dynamics_converged"] = converged
                 if converged:
                     row["steps_to_converge"] = worst

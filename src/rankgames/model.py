@@ -115,12 +115,13 @@ class ScoreFunction:
     def __post_init__(self):
         if self.kind not in _SCORE_KINDS:
             raise ValidationError(f"unknown score function kind {self.kind!r}")
+        # the chained comparisons also reject NaN and infinities
         if self.kind == "power":
-            if self.param is None or not self.param > 0:
-                raise ValidationError("power score function needs param > 0")
+            if self.param is None or not 0 < self.param < math.inf:
+                raise ValidationError("power score function needs a finite param > 0")
         elif self.kind == "exponential":
-            if self.param is None or self.param < 0:
-                raise ValidationError("exponential score function needs param >= 0")
+            if self.param is None or not 0 <= self.param < math.inf:
+                raise ValidationError("exponential score function needs a finite param >= 0")
         elif self.param is not None:
             raise ValidationError(f"{self.kind} score function takes no param")
 

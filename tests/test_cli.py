@@ -181,3 +181,14 @@ def test_suite_bad_config_exits_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1}))
     assert main(["suite", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "suite"])
+def test_unreadable_and_malformed_json_messages(command, tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main([command, str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not valid JSON: ")

@@ -119,6 +119,9 @@ BAD_DOCS = {
     "D string": _doc(D="10"),
     "D mapping": _doc(D={"1/2": 1, "2/4": 2}),
     "bool param": _doc(mediator={"kind": "scoring", "f": {"kind": "power", "param": True}}),
+    # json.dumps writes these as the bare NaN/Infinity tokens that json.load reads back
+    "NaN param": _doc(mediator={"kind": "scoring", "f": {"kind": "exponential", "param": float("nan")}}),
+    "Infinity param": _doc(mediator={"kind": "scoring", "f": {"kind": "power", "param": float("inf")}}),
 }
 
 
@@ -140,6 +143,17 @@ def test_score_from_dict_rejects_bool_param():
     with pytest.raises(ValidationError):
         score_from_dict({"kind": "exponential", "param": False})
     assert score_from_dict({"kind": "exponential", "param": 0}).param == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "exponential", "param": NaN}',
+    '{"kind": "exponential", "param": Infinity}',
+    '{"kind": "power", "param": Infinity}',
+    '{"kind": "power", "param": NaN}',
+])
+def test_score_from_dict_rejects_non_finite_param(text):
+    with pytest.raises(ValidationError):
+        score_from_dict(json.loads(text))
 
 
 # ---------- the CLI parser ----------

@@ -95,6 +95,19 @@ def test_score_function_param_validation():
         rg.ScoreFunction("sigmoid")
 
 
+@pytest.mark.parametrize("make,param", [
+    (rg.ScoreFunction.exponential, math.nan),
+    (rg.ScoreFunction.exponential, math.inf),
+    (rg.ScoreFunction.power, math.nan),
+    (rg.ScoreFunction.power, math.inf),
+])
+def test_score_function_rejects_non_finite_param(make, param):
+    with pytest.raises(ValidationError):
+        make(param)
+    with pytest.raises(ValidationError):
+        rg.ScoreFunction(make.__name__, param)
+
+
 def test_is_non_decreasing():
     assert rg.is_non_decreasing(rg.ScoreFunction.identity())
     assert rg.is_non_decreasing(rg.ScoreFunction.constant())
