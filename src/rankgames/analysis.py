@@ -28,18 +28,19 @@ from .model import (
     EXPOSURE,
     Game,
     Profile,
+    ProfileState,
     format_number,
     improves,
     iter_profiles,
     make_game,
     profile_at,
     profile_index,
+    profile_state,
     replace_topic,
-    topic_tables,
     utility_vector,
     _utility_table,
 )
-from .dynamics import Trajectory, is_pne
+from .dynamics import Trajectory
 
 
 def _check_budget(game: Game, budget: int):
@@ -66,6 +67,10 @@ class ImprovementGraph:
 
     def index_of(self, a) -> int:
         return profile_index(tuple(a), self.game.m)
+
+    def sinks(self) -> list[Profile]:
+        """The pure Nash equilibria: the profiles without out-edges, in order."""
+        return [self.profile_of(i) for i, out in enumerate(self.adj) if not out]
 
 
 def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> ImprovementGraph:
@@ -225,8 +230,7 @@ def has_fip(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0):
 
 def enumerate_pne(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> list[Profile]:
     """All pure Nash equilibria, in canonical profile order."""
-    _check_budget(game, budget)
-    return [a for a in iter_profiles(game.n, game.m) if is_pne(game, a, margin)]
+    return improvement_graph(game, budget, margin).sinks()
 
 
 def longest_improvement_path(graph: ImprovementGraph) -> int:
@@ -244,15 +248,6 @@ def longest_improvement_path(graph: ImprovementGraph) -> int:
                 if depth[v] > best:
                     best = depth[v]
     return best
-
-
-def _path_or_cycle(graph: ImprovementGraph) -> tuple[bool, object]:
-    """(True, longest path length) on an acyclic graph, else (False, a
-    shortest improvement cycle): one topological sort per graph."""
-    try:
-        return True, longest_improvement_path(graph)
-    except CyclicGraphError:
-        return False, shortest_cycle(graph)
 
 
 # ---------- exact potential ----------
@@ -401,64 +396,72 @@ def path_invariant_report(game: Game, t: Trajectory) -> PathInvariantReport:
     pre-step top quality, and whenever it does not strictly exceed it, the
     post-step utility must obey demand(k)/(min top count + 1), times the path
     maximum of k's top quality under the action scheme.
+    Everything is read from the visited profiles' kernel states; their top
+    quality keys become qualities only in the statistics.
     """
     if game.mediator.kind != "prp":
         raise PreconditionError("path invariants apply to top-rank (prp) mediated games")
-    profiles = _replay(game, t)
-    b_rows = []
-    h_rows = []
-    for a in profiles:
-        b, h = topic_tables(game, a)
-        b_rows.append(b)
-        h_rows.append(h)
-    min_h = tuple(min(row[k] for row in h_rows) for k in range(game.m))
-    max_b = tuple(max(row[k] for row in b_rows) for k in range(game.m))
-    stats = PathStatistics(tuple(b_rows), tuple(h_rows), min_h, max_b)
+    states = _replay(game, t)
+    qkey = states[0].kernel.qkey
+    # per topic: top quality key -> quality; an empty topic's key -1 reads as 0
+    quality_of = [
+        dict(zip((-1, *keys), (Fraction(0), *qs)))
+        for keys, qs in zip(zip(*qkey), zip(*game.quality))
+    ]
+    h_rows = tuple(tuple(s.ties) for s in states)
+    min_h = tuple(map(min, zip(*h_rows)))
+    max_key = [max(col) for col in zip(*(s.top for s in states))]
+    stats = PathStatistics(
+        tuple(tuple(q[b] for q, b in zip(quality_of, s.top)) for s in states),
+        h_rows,
+        min_h,
+        tuple(q[b] for q, b in zip(quality_of, max_key)),
+    )
 
     checks = []
     for r, s in enumerate(t.steps):
-        k = s.to_topic
-        q = game.quality[s.mover - 1][k - 1]
-        b_before = b_rows[r][k - 1]
-        at_top = q >= b_before
-        if q > b_before:
+        k = s.to_topic - 1
+        key = qkey[s.mover - 1][k]
+        # quality 0 has key 0, so an empty topic (key -1) compares as quality 0
+        top = max(states[r].top[k], 0)
+        if key > top:
             bound = "n/a"
         else:
-            cap = game.demand[k - 1] / (min_h[k - 1] + 1)
+            cap = game.demand[k] / (min_h[k] + 1)
             if game.scheme == ACTION:
-                cap = cap * max_b[k - 1]
+                cap = cap * stats.max_top_quality[k]
             # prp utilities are exact rationals, so the comparison is exact
-            u_after = utility_vector(game, profiles[r + 1])[s.mover - 1]
+            u_after = states[r + 1].utility(s.mover, s.to_topic)
             bound = "pass" if u_after <= cap else "fail"
-        checks.append(StepCheck(s.index, at_top, bound))
+        checks.append(StepCheck(s.index, key >= top, bound))
     return PathInvariantReport(stats, tuple(checks))
 
 
-def _replay(game: Game, t: Trajectory) -> list[Profile]:
-    """Validate a trajectory against the game and return its profile list."""
+def _replay(game: Game, t: Trajectory) -> list[ProfileState]:
+    """Validate a trajectory against the game and return the kernel state of
+    each visited profile, initial to terminal."""
     a = tuple(t.initial)
-    if len(a) != game.n or any(not 1 <= x <= game.m for x in a):
+    if len(a) != game.n or any(type(x) is not int or not 1 <= x <= game.m for x in a):
         raise TrajectoryError("initial profile does not fit the game")
-    profiles = [a]
+    states = [profile_state(game, a)]
     for s in t.steps:
-        if not 1 <= s.mover <= game.n:
+        if type(s.mover) is not int or not 1 <= s.mover <= game.n:
             raise TrajectoryError(f"step {s.index}: invalid mover {s.mover}")
         if a[s.mover - 1] != s.from_topic:
             raise TrajectoryError(f"step {s.index}: from_topic does not match the profile")
-        if not 1 <= s.to_topic <= game.m:
+        if type(s.to_topic) is not int or not 1 <= s.to_topic <= game.m:
             raise TrajectoryError(f"step {s.index}: invalid topic {s.to_topic}")
-        b = replace_topic(a, s.mover, s.to_topic)
-        u0 = utility_vector(game, a)[s.mover - 1]
-        u1 = utility_vector(game, b)[s.mover - 1]
+        u0 = states[-1].utility(s.mover, s.from_topic)
+        u1 = states[-1].utility(s.mover, s.to_topic)
         if not improves(u0, u1):
             raise TrajectoryError(f"step {s.index}: not a strict improvement in this game")
         if s.utility_before != u0 or s.utility_after != u1:
             raise TrajectoryError(f"step {s.index}: recorded utilities do not match the game")
-        a = b
-        profiles.append(a)
+        a = replace_topic(a, s.mover, s.to_topic)
+        states.append(profile_state(game, a))
     if a != tuple(t.terminal):
         raise TrajectoryError("terminal profile does not match the replayed steps")
-    return profiles
+    return states
 
 
 # ---------- uniform-mediator reduction ----------
@@ -488,14 +491,12 @@ def analysis_report(
     """Full analysis as a JSON-ready dict: fip (+ cycle witness), pne list,
     longest path (acyclic case), and the exact-potential report."""
     graph = improvement_graph(game, budget, margin)
-    acyclic, found = _path_or_cycle(graph)
-    report: dict = {"fip": acyclic}
-    if acyclic:
-        report["longest_path"] = found
-    else:
-        report["cycle"] = [list(p) for p in found]
-    # the equilibria are the graph's sinks, already in canonical order
-    report["pne"] = [list(graph.profile_of(i)) for i, out in enumerate(graph.adj) if not out]
+    # one topological sort per graph: it fails only on a cyclic one
+    try:
+        report: dict = {"fip": True, "longest_path": longest_improvement_path(graph)}
+    except CyclicGraphError:
+        report = {"fip": False, "cycle": [list(p) for p in shortest_cycle(graph)]}
+    report["pne"] = [list(a) for a in graph.sinks()]
     pot = exact_potential_check(game, budget, tol)
     witness = None
     if pot.witness is not None:

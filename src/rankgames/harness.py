@@ -38,11 +38,7 @@ from .dynamics import (
     _converge_from_every_start,
     run_dynamics,
 )
-from .analysis import (
-    exact_potential_check,
-    improvement_graph,
-    _path_or_cycle,
-)
+from .analysis import analysis_report
 
 
 # ---------- the worked example ----------
@@ -292,16 +288,13 @@ def _converge_per_start(game: Game) -> tuple[bool, int]:
 def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run the configured checks over seeded random games.
 
-    Per-game budget overruns are recorded in the row, not raised. When
-    out_dir is given, writes report.csv and report.json there.
+    Every game gets one full analysis_report; the checks choose the row's
+    columns. Per-game budget overruns are recorded in the row, not raised.
+    When out_dir is given, writes report.csv and report.json there.
     """
     rng = random.Random(config.seed)
     report = ExperimentReport(config)
-    fips = []
-    steps_all = []
-    potentials = []
     cycles = []
-    budget_errors = 0
     for _ in range(config.games):
         game_seed = rng.randrange(2**63)
         n = rng.randint(*config.n_range)
@@ -319,24 +312,19 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
         row = {"seed": game_seed, "n": n, "m": m,
                "mediator": config.mediator.kind, "scheme": config.scheme}
         try:
-            if not {"fip", "pne", "dynamics"}.isdisjoint(config.checks):
-                graph = improvement_graph(game, config.budget)
-            if "fip" in config.checks or "dynamics" in config.checks:
-                acyclic, found = _path_or_cycle(graph)
+            # every check reads the one full analysis
+            analysis = analysis_report(game, config.budget)
+            acyclic = analysis["fip"]
             if "fip" in config.checks:
                 row["fip"] = acyclic
-                fips.append(acyclic)
                 if acyclic:
-                    row["max_path_len"] = found
+                    row["max_path_len"] = analysis["longest_path"]
                 else:
-                    cycles.append([list(p) for p in found])
+                    cycles.append(analysis["cycle"])
             if "pne" in config.checks:
-                # the equilibria are the graph's sinks
-                row["pne_count"] = sum(1 for out in graph.adj if not out)
+                row["pne_count"] = len(analysis["pne"])
             if "potential" in config.checks:
-                pot = exact_potential_check(game, config.budget)
-                row["potential_exists"] = pot.has_exact_potential
-                potentials.append(pot.has_exact_potential)
+                row["potential_exists"] = analysis["potential"]["exists"]
             if "dynamics" in config.checks:
                 if acyclic:
                     converged, worst = _converge_from_every_start(game)
@@ -347,13 +335,17 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
                 row["dynamics_converged"] = converged
                 if converged:
                     row["steps_to_converge"] = worst
-                    steps_all.append(worst)
         except BudgetExceededError:
-            budget_errors += 1
             row["error"] = "budget"
         report.rows.append(row)
 
-    agg = {"games": config.games, "budget_errors": budget_errors}
+    def column(key):
+        return [row[key] for row in report.rows if key in row]
+
+    fips = column("fip")
+    steps_all = column("steps_to_converge")
+    potentials = column("potential_exists")
+    agg = {"games": config.games, "budget_errors": len(column("error"))}
     if fips:
         agg["fip_rate"] = sum(fips) / len(fips)
     if steps_all:

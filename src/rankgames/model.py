@@ -22,6 +22,7 @@ built from the kernel once they have checked the enumeration budget.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,13 +101,16 @@ def improves(u_old, u_new, margin: float = 0.0) -> bool:
 
 _SCORE_KINDS = ("constant", "identity", "power", "exponential", "exp_minus_one")
 
+# the largest exponential param whose top score, e**param, is a float
+_EXP_PARAM_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class ScoreFunction:
     """A non-decreasing, nonnegative score map on [0, 1].
 
     Kinds: constant (1), identity (x), power (x**p, p > 0),
-    exponential (e**(scale*x), scale >= 0), exp_minus_one (e**x - 1).
+    exponential (e**(scale*x), 0 <= scale <= 709.78), exp_minus_one (e**x - 1).
     """
 
     kind: str
@@ -120,8 +124,9 @@ class ScoreFunction:
             if self.param is None or not 0 < self.param < math.inf:
                 raise ValidationError("power score function needs a finite param > 0")
         elif self.kind == "exponential":
-            if self.param is None or not 0 <= self.param < math.inf:
-                raise ValidationError("exponential score function needs a finite param >= 0")
+            if self.param is None or not 0 <= self.param <= _EXP_PARAM_MAX:
+                raise ValidationError(
+                    f"exponential score function needs a param in [0, {_EXP_PARAM_MAX:.2f}]")
         elif self.param is not None:
             raise ValidationError(f"{self.kind} score function takes no param")
 
@@ -203,8 +208,8 @@ RAND = Mediator("rand")
 class Game:
     """Immutable game value: n authors, m topics, demand, quality, mediator,
     utility scheme. All operations over it are pure; _cache only memoizes
-    (the deviation kernel's tables, the utility table of the exhaustive
-    analyses and the top-rank table memo)."""
+    two things: the deviation kernel's tables ("kernel") and the utility
+    table that improvement_graph and exact_potential_check share ("table")."""
 
     n: int
     m: int
@@ -312,19 +317,6 @@ def top_count(game: Game, k: int, a: Profile) -> int:
     return sum(1 for j in ws if game.quality[j - 1][k - 1] == best)
 
 
-def topic_tables(game: Game, a: Profile) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """Per-topic (top quality, top count) under profile a, memoized."""
-    cache = game._cache.setdefault("bh", {})
-    got = cache.get(a)
-    if got is None:
-        got = (
-            tuple(top_quality(game, k, a) for k in range(1, game.m + 1)),
-            tuple(top_count(game, k, a) for k in range(1, game.m + 1)),
-        )
-        cache[a] = got
-    return got
-
-
 def rank_probabilities(game: Game, k: int, a: Profile) -> dict:
     """First-rank probability per writer on topic k; empty map if no writers.
 
@@ -393,6 +385,9 @@ class _Kernel:
             self.demand_f = [float(w) for w in game.demand]
             self.quality_f = [[float(q) for q in row] for row in game.quality]
             self.score_cols = [[f(q) for q in col] for col in zip(*self.quality_f)]
+            # then every subset of a topic's writers has a finite score sum
+            if not all(math.isfinite(sum(col)) for col in self.score_cols):
+                raise ValidationError("a topic's scores sum beyond the float range")
             self.state_class = _ScoringState
 
     def share(self, j: int, t: int, h: int) -> Fraction:
@@ -536,13 +531,8 @@ def utility(game: Game, a, j: int):
 
 
 def utility_vector(game: Game, a) -> tuple:
-    """All n utilities at profile a; read from the game's utility table
-    once an exhaustive analysis has built it."""
-    a = check_profile(game, a)
-    table = game._cache.get("table")
-    if table is not None:
-        return table[profile_index(a, game.m)]
-    return _vector(profile_state(game, a))
+    """All n utilities at profile a, from one kernel state."""
+    return _vector(profile_state(game, check_profile(game, a)))
 
 
 # ---------- serialization ----------

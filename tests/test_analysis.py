@@ -145,6 +145,16 @@ def test_replay_rejects_wrong_topic(exposure_example):
         _replay(exposure_example, bad)
 
 
+@pytest.mark.parametrize("bad", [
+    Trajectory((2.0, 2), (Step(1, 2, 2, 1, F(3, 20), F(1, 4)),), (2.0, 1)),
+    Trajectory((2, 2), (Step(1, 1, 2, 1.0, F(0), F(1, 5)),), (1.0, 2)),
+    Trajectory((2, 2), (Step(1, 1.0, 2, 1, F(0), F(1, 5)),), (1, 2)),
+])
+def test_replay_rejects_non_integer_topics_and_movers(exposure_example, bad):
+    with pytest.raises(TrajectoryError):
+        _replay(exposure_example, bad)
+
+
 def test_replay_rejects_non_improving_step(exposure_example):
     # 2 -> 3 loses utility for author 1 at the equilibrium (2,1)
     bad = Trajectory((2, 1), (Step(1, 1, 2, 3, F(3, 10), F(1, 5)),), (3, 1))

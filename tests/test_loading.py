@@ -2,6 +2,7 @@
 the CLI's parser, which is built once per process and reused."""
 
 import json
+import math
 import sys
 from fractions import Fraction as F
 
@@ -122,6 +123,8 @@ BAD_DOCS = {
     # json.dumps writes these as the bare NaN/Infinity tokens that json.load reads back
     "NaN param": _doc(mediator={"kind": "scoring", "f": {"kind": "exponential", "param": float("nan")}}),
     "Infinity param": _doc(mediator={"kind": "scoring", "f": {"kind": "power", "param": float("inf")}}),
+    # e**1000 is beyond the float range
+    "overflowing param": _doc(mediator={"kind": "scoring", "f": {"kind": "exponential", "param": 1000.0}}),
 }
 
 
@@ -154,6 +157,41 @@ def test_score_from_dict_rejects_bool_param():
 def test_score_from_dict_rejects_non_finite_param(text):
     with pytest.raises(ValidationError):
         score_from_dict(json.loads(text))
+
+
+# ---------- scores beyond the float range ----------
+
+@pytest.mark.parametrize("make", [
+    rg.ScoreFunction.exponential,
+    lambda p: score_from_dict({"kind": "exponential", "param": p}),
+])
+def test_exponential_param_keeps_the_top_score_finite(make):
+    with pytest.raises(ValidationError):
+        make(1000.0)
+    assert make(709.0)(1.0) == math.exp(709.0)
+
+
+# each score is e**709, finite; three of them sum beyond the float range
+THREE_TOP_AUTHORS = rg.make_game(
+    ("1",), (("1",),) * 3, rg.Mediator.scoring(rg.ScoreFunction.exponential(709.0))
+)
+
+
+def test_score_sum_beyond_the_float_range_is_rejected():
+    with pytest.raises(ValidationError):
+        rg.utility_vector(THREE_TOP_AUTHORS, (1, 1, 1))
+    # two of them still sum to a float
+    two = rg.make_game(("1",), (("1",),) * 2, THREE_TOP_AUTHORS.mediator)
+    assert rg.utility_vector(two, (1, 1)) == (0.5, 0.5)
+
+
+def test_cli_exits_2_on_scores_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(rg.game_to_dict(THREE_TOP_AUTHORS)))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(["counterexample", "thm3", "--f", "exponential", "--param", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------- the CLI parser ----------

@@ -14,7 +14,6 @@ from rankgames.model import (
     mediator_to_dict,
     profile_at,
     profile_index,
-    topic_tables,
 )
 
 
@@ -153,9 +152,11 @@ def test_writers_and_tops(exposure_example):
 
 
 def test_topic_tables_match_pointwise(exposure_example):
+    # the per-topic tables of a step-free trajectory are its one profile's
     g = exposure_example
     for a in rg.iter_profiles(g.n, g.m):
-        B, H = topic_tables(g, a)
+        stats = rg.path_invariant_report(g, rg.Trajectory(a, (), a)).statistics
+        (B,), (H,) = stats.top_quality_rows, stats.top_count_rows
         for k in range(1, g.m + 1):
             assert B[k - 1] == rg.top_quality(g, k, a)
             assert H[k - 1] == rg.top_count(g, k, a)
