@@ -28,16 +28,11 @@ from .model import (
     game_from_dict,
     game_to_dict,
     improves,
-    is_non_decreasing,
     iter_profiles,
     make_game,
-    rank_probabilities,
     replace_topic,
-    top_count,
-    top_quality,
     utility,
     utility_vector,
-    writers,
 )
 from .dynamics import (
     BEST,

@@ -11,10 +11,12 @@ top-rank games with all-ones quality.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, compress, cycle, islice, repeat
+from operator import add, and_, lt, sub
 
 from .errors import (
     BudgetExceededError,
@@ -31,14 +33,13 @@ from .model import (
     ProfileState,
     format_number,
     improves,
-    iter_profiles,
     make_game,
     profile_at,
     profile_index,
     profile_state,
     replace_topic,
     utility_vector,
-    _utility_table,
+    _utility_columns,
 )
 from .dynamics import Trajectory
 
@@ -77,24 +78,30 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
     """The complete single-author strict-improvement graph."""
     _check_budget(game, budget)
     n, m = game.n, game.m
-    table = _utility_table(game)
-    # moving author j by one topic moves the profile index by m^(n-j)
-    strides = [m ** (n - j) for j in range(1, n + 1)]
-    adj: list[list[int]] = []
-    for i, a in enumerate(iter_profiles(n, m)):
-        u = table[i]
-        out = []
-        for j in range(n):
-            u0 = u[j]
-            w = strides[j]
-            first = i - (a[j] - 1) * w  # author j on topic 1
-            for t in range(m):
-                b = first + t * w
-                if b != i and improves(u0, table[b][j], margin):
-                    out.append(b)
-        out.sort()
-        adj.append(out)
-    return ImprovementGraph(game, m**n, adj, margin)
+    size = m**n
+    cols, lcd = _utility_columns(game)
+    gain = lt  # at margin 0, improves(u0, u1) is u0 < u1 on ints and floats alike
+    if margin:
+        gain = partial(improves, margin=margin)
+        if lcd is not None:
+            cols = [[Fraction(u, lcd) for u in col] for col in cols]
+    adj: list[list[int]] = [[] for _ in range(size)]
+    # Author j moving d topics up moves the profile index by d * w. The
+    # passes add the edges in the order that leaves every out-list sorted:
+    # the moves down by author, then by topic, then the moves up by author
+    # from the last, then by topic.
+    passes = [(j, d, False) for j in range(n) for d in range(m - 1, 0, -1)]
+    passes += [(j, d, True) for j in reversed(range(n)) for d in range(1, m)]
+    for j, d, up in passes:
+        col, w = cols[j], m ** (n - 1 - j)
+        e = d * w
+        # x and x + e share a line of author j when j's topic at x is at most m - d
+        line = ([True] * ((m - d) * w) + [False] * e) * (size // (m * w))
+        low, high = col, islice(col, e, None)
+        sel = list(map(and_, line, map(gain, low, high) if up else map(gain, high, low)))
+        tails, heads = (adj, range(e, size)) if up else (islice(adj, e, None), range(size))
+        deque(map(list.append, compress(tails, sel), compress(heads, sel)), 0)
+    return ImprovementGraph(game, size, adj, margin)
 
 
 def _topological_order(adj: list[list[int]]) -> list[int] | None:
@@ -299,60 +306,121 @@ def potential_residual(game: Game, i: int, j: int, topics_i, topics_j, base) -> 
 def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> PotentialReport:
     """Evaluate the residual on every 2x2 subgame and report the worst.
 
-    Exact zero test under prp/rand; |residual| <= tol under scoring. Each
-    subgame's residual is potential_residual's four-term expression, read
-    from the game's utility table. Under prp/rand the table is first scaled
-    to integers over the lcm L of its denominators, so the residuals are
-    integer sums and the worst one is reported as a Fraction over L.
+    Exact zero test under prp/rand; |residual| <= tol under scoring. The
+    scan reads the game's utility columns, pair of authors (i, j) by pair;
+    under prp/rand they are ints over L and the worst residual is reported
+    as a Fraction over L. The profiles of the other authors (rests) of a
+    pair are one vector: under prp/rand the scan tests separability (with
+    X = u_i - u_j and w_t = X[s2][t] - X[s1][t], the residual of
+    (s1, s2) x (t1, t2) is w_t1 - w_t2, so the worst over the t-pairs is
+    max(w) - min(w)); under scoring every residual is potential_residual's
+    four-term float expression, in its order, so the result is
+    bit-identical. The witness is the first subgame in the order pair,
+    rest, (s1, s2), (t1, t2) that attains the worst residual.
     """
     _check_budget(game, budget)
     n, m = game.n, game.m
     exact = game.mediator.kind != "scoring"
     if n < 2 or m < 2:  # no 2x2 subgame
         return PotentialReport(True, Fraction(0) if exact else 0.0, None)
-    worst = 0 if exact else 0.0
-    witness = None
-    # cols[k][x]: author k+1's utility at the profile of index x
-    cols = list(zip(*_utility_table(game)))
-    if exact:
-        lcd = math.lcm(*{u.denominator for col in cols for u in col})
-        cols = [[u.numerator * (lcd // u.denominator) for u in col] for col in cols]
-    strides = [m ** (n - j) for j in range(1, n + 1)]
+    cols, lcd = _utility_columns(game)
     pairs = [(s1, s2) for s1 in range(m - 1) for s2 in range(s1 + 1, m)]
-    others_profiles = list(iter_profiles(n - 2, m))
-    for i in range(1, n):
-        wi = strides[i - 1]
-        for j in range(i + 1, n + 1):
-            wj = strides[j - 1]
-            ci, cj = cols[i - 1], cols[j - 1]
-            span = (m - 1) * wj + 1
-            rest_idx = [r for r in range(1, n + 1) if r not in (i, j)]
-            for rest in others_profiles:
-                base = [1] * n
-                for r, t in zip(rest_idx, rest):
-                    base[r - 1] = t
-                base = tuple(base)
-                b0 = profile_index(base, m)
-                # the subgame's m x m blocks: u[s][t] and v[s][t] are i's and
-                # j's utilities with i on topic s+1 and j on topic t+1
-                starts = [b0 + s * wi for s in range(m)]
-                u = [ci[x:x + span:wj] for x in starts]
-                v = [cj[x:x + span:wj] for x in starts]
-                for s1, s2 in pairs:
-                    u1, u2, v1, v2 = u[s1], u[s2], v[s1], v[s2]
-                    for t1, t2 in pairs:
-                        # potential_residual's terms, in its order
-                        res = (u2[t1] - u1[t1] + v2[t2] - v2[t1]
-                               + u1[t2] - u2[t2] + v1[t1] - v1[t2])
-                        if abs(res) > worst:
-                            worst = abs(res)
-                            witness = PotentialWitness(
-                                (i, j), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), base
-                            )
+    worst, witness = _scan_vectors(cols, n, m, pairs, exact)
     if exact:
         worst = Fraction(worst, lcd)
         return PotentialReport(worst == 0, worst, witness)
     return PotentialReport(worst <= tol, worst, witness)
+
+
+def _scan_vectors(cols: list, n: int, m: int, pairs: list, exact: bool):
+    """The worst |residual| and its witness, with all the rests and kinds of
+    subgame of one or more author pairs as one vector."""
+    # the kinds of subgame at one rest, in scan order: the s-pairs under
+    # prp/rand (the t-pair of the witness is found at the end), else every
+    # s-pair with every t-pair
+    kinds = pairs if exact else [(sp, tp) for sp in pairs for tp in pairs]
+    rests = m ** (n - 2)
+    step = max(1, _CHUNK // (len(kinds) * m))  # rests per chunk
+    # A pair's utilities are read in the order (topic of i, topic of j,
+    # rest), where the block of (s, t) starts at (s * m + t) * rests. Per
+    # kind, where the blocks of its corners start: (s2, t) and (s1, t) for
+    # every t under prp/rand, else the corners in the residual's order.
+    if exact:
+        corners = [[(sp[k] * m + t) * rests for t in range(m) for sp in kinds] for k in (1, 0)]
+    else:
+        corners = [[(sp[s] * m + tp[t]) * rests for sp, tp in kinds]
+                   for s, t in ((1, 0), (0, 0), (1, 1), (1, 0), (0, 1), (1, 1), (0, 0), (0, 1))]
+    authors = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+
+    def gather(i, j):  # X = u - v, or u and v, in the order above
+        wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
+        starts = [0]  # the rests' profiles, i and j on topic 1, in canonical order
+        for k in range(n):
+            if k != i and k != j:
+                starts = [b + t for b in starts for t in range(0, m ** (n - k), m ** (n - 1 - k))]
+        blocks = [s * wi + t * wj for s in range(m) for t in range(m)]
+        order = list(map(add, chain.from_iterable(map(repeat, blocks, repeat(rests))), cycle(starts)))
+        u, v = (map(cols[k].__getitem__, order) for k in (i, j))
+        return [list(map(sub, u, v))] if exact else [list(u), list(v)]
+
+    worst, at = (0 if exact else 0.0), None
+    # a chunk is a run of rests of one pair, or of whole pairs if one fits
+    per = max(1, step // rests)
+    for g0 in range(0, len(authors), per):
+        group = [gather(i, j) for i, j in authors[g0:g0 + per]]
+        for r0 in range(0, rests, step):
+            r1 = min(rests, r0 + step)
+            if exact:
+                # w_t = X[s2][t] - X[s1][t], t by t over the kinds, pairs and
+                # rests; per kind, pair and rest, max(w) - min(w)
+                w = list(map(sub, *(_by_kind(group, 0, c, r0, r1) for c in corners)))
+                w = [w[t * len(w) // m:(t + 1) * len(w) // m] for t in range(m)]
+                res = list(map(sub, map(max, *w), map(min, *w)))
+            else:
+                # potential_residual's terms, in its order:
+                # u21 - u11 + v22 - v21 + u12 - u22 + v11 - v12
+                terms = (_by_kind(group, g, c, r0, r1) for g, c in zip((0, 0, 1, 1, 0, 0, 1, 1), corners))
+                res = next(terms)
+                for op, term in zip(cycle((sub, add)), terms):
+                    res = map(op, res, term)
+                res = list(map(abs, res))
+            top = max(res)
+            if top > worst:
+                # res runs kind by kind over the chunk's pairs and rests, the
+                # scan pair by pair, rest by rest, then kind by kind
+                worst, rc = top, r1 - r0
+                span = len(group) * rc
+                (p, r), k = min((divmod(res.index(top, k * span, k * span + span) - k * span, rc), k)
+                                for k in range(len(kinds)) if top in res[k * span:k * span + span])
+                at = (*authors[g0 + p], r0 + r, k)
+    witness = None
+    if at is not None:
+        i, j, r, k = at
+        base = list(profile_at(r, n - 2, m))
+        base.insert(i, 1)
+        base.insert(j, 1)
+        if exact:  # the s-pair's first t-pair with |w_t1 - w_t2| = worst
+            (s1, s2), b0 = kinds[k], profile_index(base, m)
+            wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
+            x = [[cols[i][y] - cols[j][y] for y in range(b0 + s * wi, b0 + s * wi + m * wj, wj)]
+                 for s in (s1, s2)]
+            t1, t2 = next((t1, t2) for t1, t2 in pairs
+                          if abs(x[1][t1] - x[0][t1] - x[1][t2] + x[0][t2]) == worst)
+        else:
+            (s1, s2), (t1, t2) = kinds[k]
+        witness = PotentialWitness((i + 1, j + 1), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), tuple(base))
+    return worst, witness
+
+
+# entries per vector of the potential scan, which takes the rests in chunks
+_CHUNK = 1 << 14
+
+
+def _by_kind(group: list, g: int, blocks: list[int], r0: int, r1: int) -> list:
+    """Rests r0..r1 of the block starting at each kind's entry of blocks, in
+    the g-th gathered column of each pair of the group: kind by kind, pair
+    by pair."""
+    return list(chain.from_iterable(cs[g][b + r0:b + r1] for b in blocks for cs in group))
 
 
 # ---------- path invariants ----------
@@ -440,26 +508,28 @@ def path_invariant_report(game: Game, t: Trajectory) -> PathInvariantReport:
 def _replay(game: Game, t: Trajectory) -> list[ProfileState]:
     """Validate a trajectory against the game and return the kernel state of
     each visited profile, initial to terminal."""
-    a = tuple(t.initial)
+    walk = t.walk()
+    a = next(walk)
     if len(a) != game.n or any(type(x) is not int or not 1 <= x <= game.m for x in a):
         raise TrajectoryError("initial profile does not fit the game")
     states = [profile_state(game, a)]
     for s in t.steps:
+        before = states[-1]
         if type(s.mover) is not int or not 1 <= s.mover <= game.n:
             raise TrajectoryError(f"step {s.index}: invalid mover {s.mover}")
-        if a[s.mover - 1] != s.from_topic:
+        if before.a[s.mover - 1] != s.from_topic:
             raise TrajectoryError(f"step {s.index}: from_topic does not match the profile")
         if type(s.to_topic) is not int or not 1 <= s.to_topic <= game.m:
             raise TrajectoryError(f"step {s.index}: invalid topic {s.to_topic}")
-        u0 = states[-1].utility(s.mover, s.from_topic)
-        u1 = states[-1].utility(s.mover, s.to_topic)
+        u0 = before.utility(s.mover, s.from_topic)
+        u1 = before.utility(s.mover, s.to_topic)
         if not improves(u0, u1):
             raise TrajectoryError(f"step {s.index}: not a strict improvement in this game")
         if s.utility_before != u0 or s.utility_after != u1:
             raise TrajectoryError(f"step {s.index}: recorded utilities do not match the game")
-        a = replace_topic(a, s.mover, s.to_topic)
-        states.append(profile_state(game, a))
-    if a != tuple(t.terminal):
+        # the profile after a step is built only once the step has passed
+        states.append(profile_state(game, next(walk)))
+    if states[-1].a != tuple(t.terminal):
         raise TrajectoryError("terminal profile does not match the replayed steps")
     return states
 

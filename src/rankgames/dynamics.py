@@ -66,10 +66,16 @@ class Trajectory:
 
     def profiles(self) -> list[Profile]:
         """The visited profiles a^0 .. a^T, replaying steps from initial."""
-        out = [self.initial]
+        return list(self.walk())
+
+    def walk(self):
+        """The visited profiles one by one; each step is applied only when
+        the profile after it is asked for."""
+        a = tuple(self.initial)
+        yield a
         for s in self.steps:
-            out.append(replace_topic(out[-1], s.mover, s.to_topic))
-        return out
+            a = replace_topic(a, s.mover, s.to_topic)
+            yield a
 
 
 # ---------- schedulers ----------

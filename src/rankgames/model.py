@@ -13,10 +13,9 @@ score function in floating point; everything else stays rational.
 Every utility is computed by one deviation kernel: a ProfileState holds the
 per-topic aggregates of a profile, from which any author's utility after a
 single-topic move follows in O(1) under prp and rand and in O(writers on the
-target topic) under scoring. rank_probabilities, top_quality and top_count
-are the direct definitions that the tests check the kernel against. The
-exhaustive analyses read every profile's utilities from one table per game,
-built from the kernel once they have checked the enumeration budget.
+target topic) under scoring. The exhaustive analyses read every profile's
+utilities from one column store per game, built from the kernel's
+aggregates once they have checked the enumeration budget.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
+from operator import or_
 
 from .errors import ValidationError
 
@@ -162,19 +162,6 @@ class ScoreFunction:
         return cls("exp_minus_one")
 
 
-def is_non_decreasing(f: ScoreFunction, steps: int = 1000, slack: float = 1e-12) -> bool:
-    """Check f on an evenly spaced grid over [0, 1]."""
-    prev = f(0.0)
-    if prev < -slack:
-        return False
-    for i in range(1, steps + 1):
-        cur = f(i / steps)
-        if cur < prev - slack:
-            return False
-        prev = cur
-    return True
-
-
 # ---------- mediators ----------
 
 @dataclass(frozen=True)
@@ -208,8 +195,9 @@ RAND = Mediator("rand")
 class Game:
     """Immutable game value: n authors, m topics, demand, quality, mediator,
     utility scheme. All operations over it are pure; _cache only memoizes
-    two things: the deviation kernel's tables ("kernel") and the utility
-    table that improvement_graph and exact_potential_check share ("table")."""
+    two things: the deviation kernel's tables ("kernel") and the per-author
+    utility columns that improvement_graph and exact_potential_check share
+    ("columns", see _utility_columns)."""
 
     n: int
     m: int
@@ -290,60 +278,6 @@ def profile_at(i: int, n: int, m: int) -> Profile:
         out.append(i % m + 1)
         i //= m
     return tuple(reversed(out))
-
-
-# ---------- core operations ----------
-
-def writers(game: Game, k: int, a: Profile) -> list[int]:
-    """Authors whose document is on topic k under profile a (1-based)."""
-    return [j for j in range(1, game.n + 1) if a[j - 1] == k]
-
-
-def top_quality(game: Game, k: int, a: Profile) -> Fraction:
-    """Best quality among writers on topic k; 0 when the topic is empty."""
-    best = Fraction(0)
-    for j in range(1, game.n + 1):
-        if a[j - 1] == k and game.quality[j - 1][k - 1] > best:
-            best = game.quality[j - 1][k - 1]
-    return best
-
-
-def top_count(game: Game, k: int, a: Profile) -> int:
-    """Number of writers on topic k attaining the top quality; 0 when empty."""
-    ws = writers(game, k, a)
-    if not ws:
-        return 0
-    best = max(game.quality[j - 1][k - 1] for j in ws)
-    return sum(1 for j in ws if game.quality[j - 1][k - 1] == best)
-
-
-def rank_probabilities(game: Game, k: int, a: Profile) -> dict:
-    """First-rank probability per writer on topic k; empty map if no writers.
-
-    prp: 1/(tie count) for each top-quality writer, 0 for the rest.
-    rand: uniform over writers. scoring: f(quality) over the writers' f-sum;
-    a zero sum (possible when f(0) = 0 and all writers have quality 0) falls
-    back to uniform, an extension of the formula that keeps a distribution.
-    """
-    ws = writers(game, k, a)
-    if not ws:
-        return {}
-    kind = game.mediator.kind
-    if kind == "prp":
-        best = max(game.quality[j - 1][k - 1] for j in ws)
-        top = [j for j in ws if game.quality[j - 1][k - 1] == best]
-        p = Fraction(1, len(top))
-        return {j: (p if j in top else Fraction(0)) for j in ws}
-    if kind == "rand":
-        p = Fraction(1, len(ws))
-        return {j: p for j in ws}
-    f = game.mediator.f
-    scores = {j: f(float(game.quality[j - 1][k - 1])) for j in ws}
-    total = sum(scores.values())
-    if total == 0:
-        u = 1.0 / len(ws)
-        return {j: u for j in ws}
-    return {j: s / total for j, s in scores.items()}
 
 
 # ---------- the deviation kernel ----------
@@ -483,8 +417,9 @@ class _ScoringState(ProfileState):
         self.writers = ws
 
     def utility(self, j, t):
-        # float operations in the order rank_probabilities and Fraction's
-        # float fallback apply them, so the result is bit-identical
+        # the score total in author order, score / total (1 / writers on a
+        # zero total), times demand, times quality: the order of the direct
+        # float formula, so the result is bit-identical to it
         k = self.kernel
         ws = self.writers[t - 1]
         if self.a[j - 1] != t:
@@ -507,20 +442,65 @@ def profile_state(game: Game, a: Profile) -> ProfileState:
     return kernel.state_class(kernel, a)
 
 
-def _utility_table(game: Game) -> list[tuple]:
-    """Every profile's utility vector, in profile_index order, built once
-    per game: m^n * n entries, so only callers that have checked the
-    enumeration budget may ask for it."""
-    table = game._cache.get("table")
-    if table is None:
-        table = game._cache["table"] = [
-            _vector(profile_state(game, a)) for a in iter_profiles(game.n, game.m)
-        ]
-    return table
+def _utility_columns(game: Game) -> tuple[list[list], int | None]:
+    """Every profile's utilities, one column per author, built once per game
+    from kernel states: cols[j][x] is author j+1's utility at profile x.
+
+    Under prp/rand an entry is an int, the utility times L, the lcm of the
+    shares' denominators, returned with the columns; under scoring it is the
+    kernel's float and L is None. m^n * n entries, so only callers that have
+    checked the enumeration budget may ask for it.
+    """
+    store = game._cache.get("columns")
+    if store is not None:
+        return store
+    n, m = game.n, game.m
+    kernel = profile_state(game, (1,) * n).kernel
+    cols = _columns_by_writer_set(kernel, n, m)
+    lcd = None
+    if game.mediator.kind != "scoring":
+        # every entry is _ZERO or one of the kernel's shares: scale each
+        # once, looked up by identity, as hashing a Fraction is slow
+        shares = [_ZERO, *kernel.shares.values()]
+        lcd = math.lcm(*(u.denominator for u in shares))
+        scaled = {id(u): u.numerator * (lcd // u.denominator) for u in shares}.__getitem__
+        cols = [list(map(scaled, map(id, col))) for col in cols]
+    store = game._cache["columns"] = (cols, lcd)
+    return store
 
 
-def _vector(state: ProfileState) -> tuple:
-    return tuple(state.utility(j, t) for j, t in enumerate(state.a, 1))
+def _columns_by_writer_set(kernel: _Kernel, n: int, m: int) -> list[list]:
+    # An author's utility depends only on the author's topic and its
+    # writers, so ceil(m/2) * 2^n states give every entry. by_set[t][j][S]:
+    # author j+1's utility on topic t+1 when the authors in bit mask S (bit j
+    # for author j+1) write on it. The state with S on topic t+1 and the others on the
+    # next topic gives two topics' entries.
+    by_set = [[[None] * (1 << n) for _ in range(n)] for _ in range(m)]
+    full = (1 << n) - 1
+    for t in range(1, m + 1, 2):
+        for S in range(1 << n):
+            a = tuple(t if S >> j & 1 else t % m + 1 for j in range(n))
+            state = kernel.state_class(kernel, a)
+            for j, k in enumerate(a):
+                by_set[k - 1][j][S if k == t else full ^ S] = state.utility(j + 1, k)
+    # at[x][t]: t << n | the writers on topic t+1 at profile x, the masks
+    # built from the last author's digit, the least significant, to the first
+    size = m**n
+    masks = []
+    for t in range(m):
+        mask = [t << n]
+        for j in reversed(range(n)):
+            mask = mask * t + list(map(or_, mask, repeat(1 << j))) + mask * (m - 1 - t)
+        masks.append(mask)
+    at = list(zip(*masks))
+    cols = []
+    for j in range(n):
+        # author j+1's topic at every profile, and j+1's entries keyed as in at
+        w = m ** (n - 1 - j)
+        topic = list(chain.from_iterable([t] * w for t in range(m))) * (size // (m * w))
+        look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
+        cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
+    return cols
 
 
 def utility(game: Game, a, j: int):
@@ -532,7 +512,8 @@ def utility(game: Game, a, j: int):
 
 def utility_vector(game: Game, a) -> tuple:
     """All n utilities at profile a, from one kernel state."""
-    return _vector(profile_state(game, check_profile(game, a)))
+    state = profile_state(game, check_profile(game, a))
+    return tuple(state.utility(j, t) for j, t in enumerate(state.a, 1))
 
 
 # ---------- serialization ----------

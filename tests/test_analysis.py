@@ -168,6 +168,19 @@ def test_replay_rejects_wrong_recorded_utilities(exposure_example):
         _replay(exposure_example, bad)
 
 
+@pytest.mark.parametrize("first, second, message", [
+    (Step(1, 2, 2, 1, F(3, 20), F(1, 4)), Step(2, 5, 1, 2, F(0), F(1)),
+     "step 1: recorded utilities do not match"),
+    (Step(1, 1, 1, 3, F(0), F(1, 5)), Step(2, 2, 2, 9, F(0), F(1)),
+     "step 1: from_topic does not match"),
+])
+def test_replay_reports_the_first_bad_step(exposure_example, first, second, message):
+    # step 2 is invalid too, but step 1 is checked in full before it
+    bad = Trajectory((2, 2), (first, second), (1, 1))
+    with pytest.raises(TrajectoryError, match=message):
+        _replay(exposure_example, bad)
+
+
 # ---------- reduction ----------
 
 def test_reduction_requires_rand_exposure(exposure_example):

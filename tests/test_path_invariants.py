@@ -1,7 +1,8 @@
 """path_invariant_report, read from kernel states, against a pointwise oracle.
 
 The oracle recomputes every row and check from the direct definitions
-(top_quality, top_count, utility_vector) on the replayed profiles.
+(tests/oracle.py's top_quality and top_count, utility_vector) on the
+replayed profiles.
 """
 
 from fractions import Fraction as F
@@ -11,12 +12,14 @@ from hypothesis import given, strategies as st
 import rankgames as rg
 from rankgames.analysis import PathInvariantReport, PathStatistics, StepCheck
 
+from oracle import top_count, top_quality
+
 
 def oracle(game, t):
     profiles = t.profiles()
     topics = range(1, game.m + 1)
-    b_rows = tuple(tuple(rg.top_quality(game, k, a) for k in topics) for a in profiles)
-    h_rows = tuple(tuple(rg.top_count(game, k, a) for k in topics) for a in profiles)
+    b_rows = tuple(tuple(top_quality(game, k, a) for k in topics) for a in profiles)
+    h_rows = tuple(tuple(top_count(game, k, a) for k in topics) for a in profiles)
     min_h = tuple(min(row[k] for row in h_rows) for k in range(game.m))
     max_b = tuple(max(row[k] for row in b_rows) for k in range(game.m))
     checks = []
