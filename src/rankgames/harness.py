@@ -13,7 +13,6 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
@@ -121,18 +120,18 @@ def generate_random_game(
         numerators = rng.sample(range(d + 1), n * m)
     else:
         numerators = [rng.randint(0, d) for _ in range(n * m)]
-    quality = [
-        [Fraction(numerators[i * m + k], d) for k in range(m)] for i in range(n)
-    ]
 
     if sorted_D:
         weights = sorted(rng.sample(range(1, d + 1), m), reverse=True)
     else:
         weights = [rng.randint(1, d) for _ in range(m)]
-    total = sum(weights)
-    demand = [Fraction(w, total) for w in weights]
 
-    return make_game(demand, quality, mediator, scheme)
+    # numerators[i * m + k] / d is author i+1's quality on topic k+1
+    return Game(
+        demand_den=sum(weights), demand_num=weights,
+        quality_den=(d,) * m, quality_num=[numerators[k::m] for k in range(m)],
+        mediator=mediator, scheme=scheme,
+    )
 
 
 # ---------- greedy assignment ----------

@@ -24,6 +24,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import or_
@@ -54,13 +55,6 @@ def as_rational(x) -> Fraction:
         return x
     if isinstance(x, str):
         try:
-            if type(x) is str:
-                # integer fast path for the ASCII "p/q" form game_to_dict
-                # writes; any other spelling is left to Fraction(x). A zero
-                # denominator or an over-long half raises as in Fraction(x).
-                num, _, den = x.partition("/")
-                if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-                    return Fraction(int(num), int(den))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational {x!r}") from exc
@@ -73,6 +67,35 @@ def as_rational(x) -> Fraction:
             raise ValidationError(f"not a rational value: {x!r}")
         return Fraction(repr(x))
     raise ValidationError(f"not a rational value: {x!r}")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, positive denominator), not necessarily reduced: the
+    ASCII "p/q" form that game_to_dict writes as two ints, every other
+    spelling through as_rational, with its values and ValidationErrors."""
+    if type(x) is str:
+        num, _, den = x.partition("/")
+        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            try:
+                p, q = int(num), int(den)
+            except ValueError as exc:
+                raise ValidationError(f"cannot parse rational {x!r}") from exc
+            if q:
+                return p, q
+            raise ValidationError(f"cannot parse rational {x!r}")
+    x = as_rational(x)
+    return x.numerator, x.denominator
+
+
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """A common denominator of the ratios and their numerators over it."""
+    den = math.lcm(*(q for _, q in ratios))
+    return den, [p * (den // q) for p, q in ratios]
+
+
+def _format_over(den: int, nums) -> list[str]:
+    """Each num/den as a reduced "p/q" string."""
+    return [f"{x // g}/{den // g}" for x in nums for g in (math.gcd(x, den),)]
 
 
 def format_rational(x: Fraction) -> str:
@@ -191,50 +214,97 @@ RAND = Mediator("rand")
 
 # ---------- the game ----------
 
+def _lowest_terms(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """den and nums divided by their gcd: one canonical form per value."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple(x // g for x in nums)
+
+
 @dataclass(frozen=True)
 class Game:
     """Immutable game value: n authors, m topics, demand, quality, mediator,
-    utility scheme. All operations over it are pure; _cache only memoizes
-    two things: the deviation kernel's tables ("kernel") and the per-author
-    utility columns that improvement_graph and exact_potential_check share
-    ("columns", see _utility_columns)."""
+    utility scheme. The data are ints, in lowest terms so that == and hash
+    compare values: topic t's demand is demand_num[t] / demand_den, author
+    j's quality on it quality_num[t][j] / quality_den[t] (0-based). n, m and
+    the `demand` and `quality` Fraction tuples are built on first access.
 
-    n: int
-    m: int
-    demand: tuple[Fraction, ...]
-    quality: tuple[tuple[Fraction, ...], ...]
+    All operations over it are pure; _cache only memoizes two things: the
+    deviation kernel's tables ("kernel") and the per-author utility columns
+    that improvement_graph and exact_potential_check share ("columns", see
+    _utility_columns)."""
+
+    demand_den: int
+    demand_num: tuple[int, ...]
+    quality_den: tuple[int, ...]
+    quality_num: tuple[tuple[int, ...], ...]
     mediator: Mediator
     scheme: str
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
+        m, cols = len(self.demand_num), self.quality_num
+        n = len(cols[0]) if cols else 0
+        if n < 1 or m < 1:
             raise ValidationError("need at least one author and one topic")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown utility scheme {self.scheme!r}")
-        if len(self.demand) != self.m:
-            raise ValidationError("demand length must equal the topic count")
-        if any(w < 0 for w in self.demand):
-            raise ValidationError("demand weights must be nonnegative")
-        if sum(self.demand) != 1:
-            raise ValidationError("demand weights must sum to exactly 1")
-        if len(self.quality) != self.n or any(len(row) != self.m for row in self.quality):
+        if len(self.quality_den) != m or len(cols) != m or any(len(col) != n for col in cols):
             raise ValidationError("quality matrix must be n x m")
-        # a Fraction's denominator is positive, so 0 <= q <= 1 is an integer
-        # comparison of its numerator and denominator
-        if any(
-            not 0 <= q.numerator <= q.denominator if type(q) is Fraction else q < 0 or q > 1
-            for row in self.quality
-            for q in row
-        ):
+        if self.demand_den < 1 or min(self.quality_den) < 1:
+            raise ValidationError("denominators must be positive")
+        if min(self.demand_num) < 0:
+            raise ValidationError("demand weights must be nonnegative")
+        if sum(self.demand_num) != self.demand_den:
+            raise ValidationError("demand weights must sum to exactly 1")
+        if any(min(col) < 0 or max(col) > den for den, col in zip(self.quality_den, cols)):
             raise ValidationError("quality entries must lie in [0, 1]")
+        d_den, d_num = _lowest_terms(self.demand_den, self.demand_num)
+        q_den, q_num = zip(*map(_lowest_terms, self.quality_den, cols))
+        object.__setattr__(self, "demand_den", d_den)
+        object.__setattr__(self, "demand_num", d_num)
+        object.__setattr__(self, "quality_den", q_den)
+        object.__setattr__(self, "quality_num", q_num)
+
+    @cached_property
+    def n(self) -> int:
+        """The number of authors."""
+        return len(self.quality_num[0])
+
+    @cached_property
+    def m(self) -> int:
+        """The number of topics."""
+        return len(self.demand_num)
+
+    @cached_property
+    def demand(self) -> tuple[Fraction, ...]:
+        """Entry t is topic t+1's demand weight."""
+        den = self.demand_den
+        return tuple(Fraction(x, den) for x in self.demand_num)
+
+    @cached_property
+    def quality(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Row j is author j+1's quality on each topic."""
+        cols = [[Fraction(x, den) for x in col]
+                for den, col in zip(self.quality_den, self.quality_num)]
+        return tuple(zip(*cols))
 
 
 def make_game(demand, quality, mediator: Mediator = PRP, scheme: str = EXPOSURE) -> Game:
-    """Build a Game from loosely typed demand/quality values."""
-    d = tuple(map(as_rational, demand))
-    q = tuple(tuple(map(as_rational, row)) for row in quality)
-    return Game(n=len(q), m=len(d), demand=d, quality=q, mediator=mediator, scheme=scheme)
+    """Build a Game from loosely typed demand/quality values: Fractions,
+    ints, floats (read through their shortest repr) and strings ("p/q" or
+    decimal), each read as as_rational reads it."""
+    d_den, d_num = _over_lcm(list(map(_ratio, demand)))
+    rows = [list(map(_ratio, row)) for row in quality]
+    if any(len(row) != len(d_num) for row in rows):
+        raise ValidationError("quality matrix must be n x m")
+    cols = [_over_lcm(col) for col in zip(*rows)]
+    return Game(
+        demand_den=d_den, demand_num=d_num,
+        quality_den=[den for den, _ in cols], quality_num=[col for _, col in cols],
+        mediator=mediator, scheme=scheme,
+    )
 
 
 def check_profile(game: Game, a) -> Profile:
@@ -288,9 +358,10 @@ _ZERO = Fraction(0)
 class _Kernel:
     """Per-game tables of the deviation kernel, built once per game.
 
-    prp: each quality as an integer (its column scaled to a common
-    denominator), so top-quality comparisons are integer comparisons.
-    scoring: f(float(q)) per topic column, float demand and quality.
+    prp: each quality's numerator over its column's denominator, so
+    top-quality comparisons are integer comparisons.
+    scoring: f(q) per topic column, float demand and quality, each num / den,
+    which is float(Fraction(num, den)) bit for bit.
     prp and rand: the exact shares D_t/h (times q_jt under action), filled
     lazily, at most n*m*n entries.
     """
@@ -299,26 +370,25 @@ class _Kernel:
         # no reference back to the game, which holds the kernel: games stay
         # free of reference cycles and are released as soon as unused
         self.m = game.m
-        self.demand = game.demand
-        self.quality = game.quality
+        self.demand_den = game.demand_den
+        self.demand_num = game.demand_num
+        self.quality_den = game.quality_den
+        self.quality_num = game.quality_num
         self.topics = range(1, game.m + 1)
         self.action = game.scheme == ACTION
         self.shares: dict = {}
         kind = game.mediator.kind
         if kind == "prp":
-            cols = []
-            for col in zip(*game.quality):
-                lcd = math.lcm(*(q.denominator for q in col))
-                cols.append([q.numerator * (lcd // q.denominator) for q in col])
-            self.qkey = [list(row) for row in zip(*cols)]
+            self.qkey = [list(row) for row in zip(*game.quality_num)]
             self.state_class = _TopRankState
         elif kind == "rand":
             self.state_class = _UniformState
         else:
             f = game.mediator.f
-            self.demand_f = [float(w) for w in game.demand]
-            self.quality_f = [[float(q) for q in row] for row in game.quality]
-            self.score_cols = [[f(q) for q in col] for col in zip(*self.quality_f)]
+            self.demand_f = [x / game.demand_den for x in game.demand_num]
+            cols = [[x / den for x in col] for den, col in zip(game.quality_den, game.quality_num)]
+            self.quality_f = list(zip(*cols))
+            self.score_cols = [list(map(f, col)) for col in cols]
             # then every subset of a topic's writers has a finite score sum
             if not all(math.isfinite(sum(col)) for col in self.score_cols):
                 raise ValidationError("a topic's scores sum beyond the float range")
@@ -330,10 +400,11 @@ class _Kernel:
         key = (j, t, h) if self.action else (t, h)
         s = self.shares.get(key)
         if s is None:
-            s = self.demand[t - 1] * Fraction(1, h)
+            num, den = self.demand_num[t - 1], self.demand_den * h
             if self.action:
-                s = s * self.quality[j - 1][t - 1]
-            self.shares[key] = s
+                num *= self.quality_num[t - 1][j - 1]
+                den *= self.quality_den[t - 1]
+            s = self.shares[key] = Fraction(num, den)
         return s
 
 
@@ -552,8 +623,8 @@ def game_to_dict(game: Game) -> dict:
     return {
         "n": game.n,
         "m": game.m,
-        "D": [format_rational(w) for w in game.demand],
-        "Q": [[format_rational(q) for q in row] for row in game.quality],
+        "D": _format_over(game.demand_den, game.demand_num),
+        "Q": list(map(list, zip(*map(_format_over, game.quality_den, game.quality_num)))),
         "mediator": mediator_to_dict(game.mediator),
         "utility": game.scheme,
     }

@@ -2,10 +2,15 @@
 
 The library computes every utility with its deviation kernel; these
 functions follow the model's definitions instead, writer by writer, and
-the tests check the kernel and the path invariants against them.
+the tests check the kernel and the path invariants against them. The game
+data are built here as Fraction tuples, entry by entry, and checked in
+Fractions; the tests check the library's integer game data against them.
 """
 
 from fractions import Fraction
+
+from rankgames.errors import ValidationError
+from rankgames.model import as_rational, format_rational, mediator_to_dict
 
 
 def writers(game, k, a):
@@ -71,3 +76,33 @@ def is_non_decreasing(f, steps=1000, slack=1e-12):
             return False
         prev = cur
     return True
+
+
+def game_data(demand, quality):
+    """Demand and quality as tuples of Fractions, as_rational per entry,
+    with the model's checks made on the Fractions."""
+    d = tuple(map(as_rational, demand))
+    q = tuple(tuple(map(as_rational, row)) for row in quality)
+    if not q or not d:
+        raise ValidationError("need at least one author and one topic")
+    if any(w < 0 for w in d):
+        raise ValidationError("demand weights must be nonnegative")
+    if sum(d) != 1:
+        raise ValidationError("demand weights must sum to exactly 1")
+    if any(len(row) != len(d) for row in q):
+        raise ValidationError("quality matrix must be n x m")
+    if any(not 0 <= x <= 1 for row in q for x in row):
+        raise ValidationError("quality entries must lie in [0, 1]")
+    return d, q
+
+
+def game_document(demand, quality, mediator, scheme):
+    """The game document of game_data's Fractions: every entry "p/q"."""
+    return {
+        "n": len(quality),
+        "m": len(demand),
+        "D": [format_rational(w) for w in demand],
+        "Q": [[format_rational(x) for x in row] for row in quality],
+        "mediator": mediator_to_dict(mediator),
+        "utility": scheme,
+    }

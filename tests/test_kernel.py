@@ -5,6 +5,9 @@ profile; the kernel must give the same value, Fraction or float, compared
 with ==.
 """
 
+from fractions import Fraction as F
+
+import pytest
 from hypothesis import given, strategies as st
 
 import rankgames as rg
@@ -110,3 +113,43 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 def test_improves_at_zero_margin_is_the_difference_test(pair):
     u0, u1 = pair
     assert rg.improves(u0, u1, 0.0) == (u1 - u0 > 0)
+
+
+# ---------- scoring floats ----------
+
+def assert_floats_are_float_of_fraction(game):
+    kernel = profile_state(game, (1,) * game.n).kernel
+    assert [x.hex() for x in kernel.demand_f] == [float(w).hex() for w in game.demand]
+    assert [[x.hex() for x in row] for row in kernel.quality_f] == [
+        [float(q).hex() for q in row] for row in game.quality
+    ]
+
+
+BIG = st.one_of(st.integers(1, 1000), st.integers(2**53, 2**80))
+
+
+@st.composite
+def big_rational_games(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    weights = draw(st.lists(st.one_of(st.just(0), BIG), min_size=m, max_size=m).filter(any))
+    quality = [
+        [F(draw(st.integers(0, den)), den) for den in draw(st.lists(BIG, min_size=m, max_size=m))]
+        for _ in range(n)
+    ]
+    scheme = draw(st.sampled_from((rg.EXPOSURE, rg.ACTION)))
+    identity = rg.Mediator.scoring(rg.ScoreFunction.identity())
+    return rg.make_game([F(w, sum(weights)) for w in weights], quality, identity, scheme)
+
+
+@given(big_rational_games())
+def test_scoring_floats_are_float_of_fraction(game):
+    assert_floats_are_float_of_fraction(game)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rg.build_exposure_cycle_game(rg.ScoreFunction.identity()),
+    lambda: rg.build_action_cycle_game(rg.ScoreFunction.power(8.0), 2.0),
+    lambda: rg.build_band_cycle_game(rg.ScoreFunction.identity(), 1.0, 1.0),
+])
+def test_construction_floats_are_float_of_fraction(build):
+    assert_floats_are_float_of_fraction(build().game)

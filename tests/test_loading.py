@@ -1,5 +1,6 @@
-"""The game load path: rational parsing, range checks, document shape, and
-the CLI's parser, which is built once per process and reused."""
+"""The game load path: rational parsing, the integer game data against the
+Fraction oracle, range checks, document shape, and the CLI's parser, which
+is built once per process and reused."""
 
 import json
 import math
@@ -7,13 +8,17 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankgames as rg
 from rankgames import cli
 from rankgames.errors import ValidationError
-from rankgames.model import _SCORE_KINDS, Game, as_rational, score_from_dict
+from rankgames.model import (
+    _SCORE_KINDS, Game, as_rational, mediator_to_dict, score_from_dict,
+)
+
+import oracle
 
 
 # ---------- as_rational on strings ----------
@@ -67,8 +72,7 @@ def test_as_rational_passes_fractions_through():
 # ---------- quality range ----------
 
 def _game_with_quality(q) -> Game:
-    return Game(n=1, m=2, demand=(F(1, 2), F(1, 2)), quality=((q, q),),
-                mediator=rg.PRP, scheme=rg.EXPOSURE)
+    return rg.make_game((F(1, 2), F(1, 2)), ((q, q),))
 
 
 @pytest.mark.parametrize("q", [F(0), F(1), 0, 1, F(999, 1000)])
@@ -105,6 +109,194 @@ def test_random_game_round_trips(mediator, scheme, generic_Q, seed):
     assert back == g
     assert all(type(x) is F for x in back.demand)
     assert all(type(x) is F for row in back.quality for x in row)
+
+
+# ---------- integer game data against the Fraction oracle ----------
+
+def _decimal(x: F) -> str | None:
+    """x as a decimal string, when its denominator divides 10**8."""
+    for k in range(1, 9):
+        if 10**k % x.denominator == 0:
+            digits = abs(x.numerator) * (10**k // x.denominator)
+            return f"{'-' if x < 0 else ''}{digits // 10**k}.{digits % 10**k:0{k}d}"
+    return None
+
+
+def spellings(x: F):
+    """Inputs that as_rational reads as x: reduced and unreduced "p/q", the
+    Fraction, and the int, decimal string and float where x has one."""
+    p, q = x.numerator, x.denominator
+    options = [
+        st.just(f"{p}/{q}"),
+        st.integers(2, 9).map(lambda k: f"{p * k}/{q * k}"),
+        st.just(x),
+    ]
+    if q == 1:
+        options.append(st.just(p))
+    dec = _decimal(x)
+    if dec is not None:
+        options += [st.just(dec), st.just(float(dec))]
+    return st.one_of(options)
+
+
+DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 10, 12, 20, 25, 1000])
+
+
+@st.composite
+def game_values(draw):
+    """Valid demand and quality values, as lists of Fractions."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m).filter(any))
+    demand = [F(w, sum(weights)) for w in weights]
+    quality = [
+        [F(draw(st.integers(0, q)), q) for q in draw(st.lists(DENOMINATORS, min_size=m, max_size=m))]
+        for _ in range(n)
+    ]
+    return demand, quality
+
+
+@st.composite
+def spelled(draw, values):
+    demand, quality = values
+    return (
+        [draw(spellings(x)) for x in demand],
+        [[draw(spellings(x)) for x in row] for row in quality],
+    )
+
+
+LONG = "1" * 4301
+
+CORRUPTIONS = ["negative D", "D sum", "Q below 0", "Q above 1", "ragged Q",
+               "zero denominator", "long half", "bool", "no topic", "no author"]
+
+
+@st.composite
+def corrupted(draw, kind, data):
+    """(D, Q) with one entry or the shape changed as kind says, so that
+    the oracle rejects it; on an interpreter without an integer string
+    limit, 4,301-digit halves in [0, 1] are valid."""
+    D, Q = [*data[0]], [[*row] for row in data[1]]
+    i = draw(st.integers(0, len(Q) - 1))
+    t = draw(st.integers(0, len(D) - 1))
+    k = draw(st.integers(1, 1000))
+    if kind == "negative D":
+        # the weight moves to the next topic, so the sum stays 1
+        if len(D) > 1:
+            u = (t + 1) % len(D)
+            D[u] = draw(spellings(as_rational(D[u]) + as_rational(D[t]) + F(1, k)))
+        D[t] = draw(spellings(F(-1, k)))
+    elif kind == "D sum":
+        D[t] = draw(spellings(as_rational(D[t]) + F(draw(st.sampled_from([-1, 1])), k)))
+    elif kind == "Q below 0":
+        Q[i][t] = draw(spellings(F(-1, k)))
+    elif kind == "Q above 1":
+        Q[i][t] = draw(spellings(1 + F(1, k)))
+    elif kind == "ragged Q":
+        Q[i] = Q[i][:-1] if draw(st.booleans()) else Q[i] + ["0/1"]
+    elif kind == "zero denominator":
+        Q[i][t] = draw(st.sampled_from(["1/0", "0/0", "3/00"]))
+    elif kind == "long half":
+        Q[i][t] = draw(st.sampled_from([LONG + "/1" + LONG, "1/" + LONG, LONG]))
+    elif kind == "bool":
+        if draw(st.booleans()):
+            D[t] = draw(st.booleans())
+        else:
+            Q[i][t] = draw(st.booleans())
+    elif kind == "no topic":
+        D, Q = [], [[] for _ in Q]
+    else:
+        Q = []
+    return D, Q
+
+
+def assert_matches_the_oracle(D, Q, mediator, scheme):
+    doc = {"D": D, "Q": Q, "mediator": mediator_to_dict(mediator), "utility": scheme}
+    try:
+        demand, quality = oracle.game_data(D, Q)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            rg.make_game(D, Q, mediator, scheme)
+        with pytest.raises(ValidationError):
+            rg.game_from_dict(doc)
+        return
+    game = rg.make_game(D, Q, mediator, scheme)
+    assert game.demand == demand
+    assert game.quality == quality
+    assert all(type(x) is F for x in game.demand)
+    assert all(type(x) is F for row in game.quality for x in row)
+    want = oracle.game_document(demand, quality, mediator, scheme)
+    assert json.dumps(rg.game_to_dict(game)) == json.dumps(want)
+    assert rg.game_from_dict(doc) == game
+
+
+@given(game_values().flatmap(spelled), st.sampled_from(GAME_CASES))
+def test_make_game_matches_the_fraction_oracle(data, case):
+    assert_matches_the_oracle(*data, *case[:2])
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_make_game_rejects_what_the_oracle_rejects(kind, data):
+    D, Q = data.draw(game_values().flatmap(spelled).flatmap(lambda x: corrupted(kind, x)))
+    assert_matches_the_oracle(D, Q, rg.PRP, rg.EXPOSURE)
+
+
+@given(game_values(), st.integers(1, 6), st.data())
+def test_equal_values_make_equal_games(values, k, data):
+    first = rg.make_game(*data.draw(spelled(values)))
+    second = rg.make_game(*data.draw(spelled(values)))
+    # the data over denominators k times larger than make_game's
+    demand, quality = values
+    den = k * math.lcm(*(w.denominator for w in demand))
+    dens = [k * math.lcm(*(q.denominator for q in col)) for col in zip(*quality)]
+    third = Game(
+        demand_den=den, demand_num=[int(w * den) for w in demand],
+        quality_den=dens, quality_num=[[int(q * d) for q in col] for d, col in zip(dens, zip(*quality))],
+        mediator=rg.PRP, scheme=rg.EXPOSURE,
+    )
+    assert first == second == third
+    assert hash(first) == hash(second) == hash(third)
+    assert third.demand_den == math.lcm(*(w.denominator for w in demand))
+
+
+@pytest.mark.parametrize("fields", [
+    {"demand_den": 0, "demand_num": (0, 0)},
+    {"demand_den": -2, "demand_num": (-1, -1)},
+    {"quality_den": (0, 1)},
+    {"quality_den": (-1, 1), "quality_num": ((-1,), (1,))},
+    {"quality_num": ((1, 0), (1,))},
+    {"quality_num": ((1,),), "quality_den": (1,)},
+    {"quality_den": (1,)},
+    {"demand_num": (1, 0, 1)},
+    {"quality_num": ((), ())},
+])
+def test_game_rejects_bad_integer_data(fields):
+    base = dict(demand_den=2, demand_num=(1, 1), quality_den=(1, 1),
+                quality_num=((1,), (0,)), mediator=rg.PRP, scheme=rg.EXPOSURE)
+    Game(**base)
+    with pytest.raises(ValidationError):
+        Game(**{**base, **fields})
+
+
+def test_loading_a_document_builds_no_fraction(monkeypatch):
+    game = rg.generate_random_game(0, 100, 10)
+    doc = json.loads(json.dumps(rg.game_to_dict(game)))
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    back = rg.game_from_dict(doc)
+    assert built == []
+    # the counter sees the Fractions the API hands out: 10 weights, 1,000 qualities
+    back.demand, back.quality
+    assert len(built) == 1010
+    monkeypatch.undo()
+    assert back == game
 
 
 def _doc(**changes):
