@@ -3,10 +3,10 @@
 Builds the directed graph of single-author strict improvements on all m^n
 profiles, decides the finite improvement property (acyclicity) with a
 shortest-cycle witness, enumerates pure Nash equilibria, measures the longest
-improvement path, tests for an exact potential through the four-term
-alternating condition on every 2x2 subgame, checks per-step bounds on
-recorded trajectories, and reduces uniform-mediator exposure games to
-top-rank games with all-ones quality.
+improvement path, tests for an exact potential by the separability of
+every 2x2 subgame, checks per-step bounds on recorded trajectories, and
+reduces uniform-mediator exposure games to top-rank games with all-ones
+quality.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .model import (
     Game,
     Profile,
     ProfileState,
+    check_tolerance,
     format_number,
     improves,
     make_game,
@@ -76,6 +77,7 @@ class ImprovementGraph:
 
 def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> ImprovementGraph:
     """The complete single-author strict-improvement graph."""
+    check_tolerance(margin)
     _check_budget(game, budget)
     n, m = game.n, game.m
     size = m**n
@@ -304,55 +306,47 @@ def potential_residual(game: Game, i: int, j: int, topics_i, topics_j, base) -> 
 
 
 def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> PotentialReport:
-    """Evaluate the residual on every 2x2 subgame and report the worst.
+    """Test every 2x2 subgame for separability and report the worst residual.
 
-    Exact zero test under prp/rand; |residual| <= tol under scoring. The
-    scan reads the game's utility columns, pair of authors (i, j) by pair;
-    under prp/rand they are ints over L and the worst residual is reported
-    as a Fraction over L. The profiles of the other authors (rests) of a
-    pair are one vector: under prp/rand the scan tests separability (with
-    X = u_i - u_j and w_t = X[s2][t] - X[s1][t], the residual of
-    (s1, s2) x (t1, t2) is w_t1 - w_t2, so the worst over the t-pairs is
-    max(w) - min(w)); under scoring every residual is potential_residual's
-    four-term float expression, in its order, so the result is
-    bit-identical. The witness is the first subgame in the order pair,
-    rest, (s1, s2), (t1, t2) that attains the worst residual.
+    An exact potential exists iff every 2x2 subgame is separable (Monderer
+    and Shapley, 1996): with X = u_i - u_j and w_t = X[s2][t] - X[s1][t],
+    the residual of (s1, s2) x (t1, t2) is w_t1 - w_t2, so the worst over
+    the t-pairs is max(w) - min(w). The scan reads the game's utility
+    columns. Under prp/rand they are ints over L: the test is exact and the
+    worst residual is a Fraction over L. Under scoring they are floats, the
+    worst is a float and a potential is reported when it is at most tol;
+    it can differ in the last bits from potential_residual at the witness,
+    which sums the same eight utilities in another order. The witness is
+    the first subgame in the order pair, rest, (s1, s2), (t1, t2) that
+    attains the worst residual.
     """
+    check_tolerance(tol, "tol")
     _check_budget(game, budget)
     n, m = game.n, game.m
     exact = game.mediator.kind != "scoring"
     if n < 2 or m < 2:  # no 2x2 subgame
         return PotentialReport(True, Fraction(0) if exact else 0.0, None)
     cols, lcd = _utility_columns(game)
-    pairs = [(s1, s2) for s1 in range(m - 1) for s2 in range(s1 + 1, m)]
-    worst, witness = _scan_vectors(cols, n, m, pairs, exact)
+    worst, witness = _scan_vectors(cols, n, m)
     if exact:
         worst = Fraction(worst, lcd)
         return PotentialReport(worst == 0, worst, witness)
-    return PotentialReport(worst <= tol, worst, witness)
+    return PotentialReport(worst <= tol, float(worst), witness)
 
 
-def _scan_vectors(cols: list, n: int, m: int, pairs: list, exact: bool):
-    """The worst |residual| and its witness, with all the rests and kinds of
-    subgame of one or more author pairs as one vector."""
-    # the kinds of subgame at one rest, in scan order: the s-pairs under
-    # prp/rand (the t-pair of the witness is found at the end), else every
-    # s-pair with every t-pair
-    kinds = pairs if exact else [(sp, tp) for sp in pairs for tp in pairs]
+def _scan_vectors(cols: list, n: int, m: int):
+    """The worst separability residual max(w) - min(w) and its witness, with
+    all the rests and s-pairs of one or more author pairs as one vector."""
+    pairs = [(s1, s2) for s1 in range(m - 1) for s2 in range(s1 + 1, m)]
     rests = m ** (n - 2)
-    step = max(1, _CHUNK // (len(kinds) * m))  # rests per chunk
-    # A pair's utilities are read in the order (topic of i, topic of j,
-    # rest), where the block of (s, t) starts at (s * m + t) * rests. Per
-    # kind, where the blocks of its corners start: (s2, t) and (s1, t) for
-    # every t under prp/rand, else the corners in the residual's order.
-    if exact:
-        corners = [[(sp[k] * m + t) * rests for t in range(m) for sp in kinds] for k in (1, 0)]
-    else:
-        corners = [[(sp[s] * m + tp[t]) * rests for sp, tp in kinds]
-                   for s, t in ((1, 0), (0, 0), (1, 1), (1, 0), (0, 1), (1, 1), (0, 0), (0, 1))]
+    step = max(1, _CHUNK // (len(pairs) * m))  # rests per chunk
+    # A pair's X is read in the order (topic of i, topic of j, rest), where
+    # the block of (s, t) starts at (s * m + t) * rests. Where the blocks of
+    # the corners (s2, t) and (s1, t) start, t by t, then s-pair by s-pair:
+    corners = [[(sp[k] * m + t) * rests for t in range(m) for sp in pairs] for k in (1, 0)]
     authors = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
 
-    def gather(i, j):  # X = u - v, or u and v, in the order above
+    def gather(i, j):  # X = u_i - u_j in the order above
         wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
         starts = [0]  # the rests' profiles, i and j on topic 1, in canonical order
         for k in range(n):
@@ -360,67 +354,54 @@ def _scan_vectors(cols: list, n: int, m: int, pairs: list, exact: bool):
                 starts = [b + t for b in starts for t in range(0, m ** (n - k), m ** (n - 1 - k))]
         blocks = [s * wi + t * wj for s in range(m) for t in range(m)]
         order = list(map(add, chain.from_iterable(map(repeat, blocks, repeat(rests))), cycle(starts)))
-        u, v = (map(cols[k].__getitem__, order) for k in (i, j))
-        return [list(map(sub, u, v))] if exact else [list(u), list(v)]
+        return list(map(sub, map(cols[i].__getitem__, order), map(cols[j].__getitem__, order)))
 
-    worst, at = (0 if exact else 0.0), None
+    worst, at = 0, None
     # a chunk is a run of rests of one pair, or of whole pairs if one fits
     per = max(1, step // rests)
     for g0 in range(0, len(authors), per):
         group = [gather(i, j) for i, j in authors[g0:g0 + per]]
         for r0 in range(0, rests, step):
             r1 = min(rests, r0 + step)
-            if exact:
-                # w_t = X[s2][t] - X[s1][t], t by t over the kinds, pairs and
-                # rests; per kind, pair and rest, max(w) - min(w)
-                w = list(map(sub, *(_by_kind(group, 0, c, r0, r1) for c in corners)))
-                w = [w[t * len(w) // m:(t + 1) * len(w) // m] for t in range(m)]
-                res = list(map(sub, map(max, *w), map(min, *w)))
-            else:
-                # potential_residual's terms, in its order:
-                # u21 - u11 + v22 - v21 + u12 - u22 + v11 - v12
-                terms = (_by_kind(group, g, c, r0, r1) for g, c in zip((0, 0, 1, 1, 0, 0, 1, 1), corners))
-                res = next(terms)
-                for op, term in zip(cycle((sub, add)), terms):
-                    res = map(op, res, term)
-                res = list(map(abs, res))
+            # w_t = X[s2][t] - X[s1][t], t by t over the s-pairs, pairs and
+            # rests; per s-pair, pair and rest, max(w) - min(w)
+            w = list(map(sub, *(_by_kind(group, c, r0, r1) for c in corners)))
+            w = [w[t * len(w) // m:(t + 1) * len(w) // m] for t in range(m)]
+            res = list(map(sub, map(max, *w), map(min, *w)))
             top = max(res)
             if top > worst:
-                # res runs kind by kind over the chunk's pairs and rests, the
-                # scan pair by pair, rest by rest, then kind by kind
+                # res runs s-pair by s-pair over the chunk's pairs and rests,
+                # the scan pair by pair, rest by rest, then s-pair by s-pair
                 worst, rc = top, r1 - r0
                 span = len(group) * rc
                 (p, r), k = min((divmod(res.index(top, k * span, k * span + span) - k * span, rc), k)
-                                for k in range(len(kinds)) if top in res[k * span:k * span + span])
+                                for k in range(len(pairs)) if top in res[k * span:k * span + span])
                 at = (*authors[g0 + p], r0 + r, k)
-    witness = None
-    if at is not None:
-        i, j, r, k = at
-        base = list(profile_at(r, n - 2, m))
-        base.insert(i, 1)
-        base.insert(j, 1)
-        if exact:  # the s-pair's first t-pair with |w_t1 - w_t2| = worst
-            (s1, s2), b0 = kinds[k], profile_index(base, m)
-            wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
-            x = [[cols[i][y] - cols[j][y] for y in range(b0 + s * wi, b0 + s * wi + m * wj, wj)]
-                 for s in (s1, s2)]
-            t1, t2 = next((t1, t2) for t1, t2 in pairs
-                          if abs(x[1][t1] - x[0][t1] - x[1][t2] + x[0][t2]) == worst)
-        else:
-            (s1, s2), (t1, t2) = kinds[k]
-        witness = PotentialWitness((i + 1, j + 1), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), tuple(base))
-    return worst, witness
+    if at is None:
+        return worst, None
+    i, j, r, k = at
+    base = list(profile_at(r, n - 2, m))
+    base.insert(i, 1)
+    base.insert(j, 1)
+    # the s-pair's first t-pair with |w_t1 - w_t2| = worst, on the w the scan
+    # computed: X[s2] - X[s1] over t
+    (s1, s2), b0 = pairs[k], profile_index(base, m)
+    wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
+    x = [[cols[i][y] - cols[j][y] for y in range(b0 + s * wi, b0 + s * wi + m * wj, wj)]
+         for s in (s2, s1)]
+    w = list(map(sub, *x))
+    t1, t2 = next((t1, t2) for t1, t2 in pairs if abs(w[t1] - w[t2]) == worst)
+    return worst, PotentialWitness((i + 1, j + 1), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), tuple(base))
 
 
 # entries per vector of the potential scan, which takes the rests in chunks
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
 
 
-def _by_kind(group: list, g: int, blocks: list[int], r0: int, r1: int) -> list:
-    """Rests r0..r1 of the block starting at each kind's entry of blocks, in
-    the g-th gathered column of each pair of the group: kind by kind, pair
-    by pair."""
-    return list(chain.from_iterable(cs[g][b + r0:b + r1] for b in blocks for cs in group))
+def _by_kind(group: list, blocks: list[int], r0: int, r1: int) -> list:
+    """Rests r0..r1 of the block starting at each entry of blocks, in the
+    gathered X of each pair of the group: block by block, pair by pair."""
+    return list(chain.from_iterable(x[b + r0:b + r1] for b in blocks for x in group))
 
 
 # ---------- path invariants ----------

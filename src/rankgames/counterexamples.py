@@ -22,6 +22,7 @@ from .model import (
     Mediator,
     Profile,
     ScoreFunction,
+    check_tolerance,
     game_to_dict,
     improves,
     make_game,
@@ -85,6 +86,7 @@ def verify_improvement_cycle(game: Game, profiles, margin: float = VERIFY_MARGIN
     yields ok=False for that step; a pair differing in more than one author
     or an unclosed list is malformed and raises.
     """
+    check_tolerance(margin)
     profiles = [tuple(p) for p in profiles]
     if len(profiles) < 2:
         raise ValidationError("a cycle needs at least two profiles")

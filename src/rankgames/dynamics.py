@@ -27,6 +27,7 @@ from .model import (
     Profile,
     ProfileState,
     check_profile,
+    check_tolerance,
     _check_mover,
     format_number,
     improves,
@@ -144,6 +145,7 @@ def _improving_moves(state: ProfileState, j: int, margin: float):
 
 def better_responses(game: Game, a, j: int, margin: float = 0.0) -> dict:
     """Topics j can switch to for a strict gain, mapped to the new utility."""
+    check_tolerance(margin)
     state = profile_state(game, _check_mover(game, a, j))
     return {t: u1 for t, _, u1 in _improving_moves(state, j, margin)}
 
@@ -158,6 +160,7 @@ def best_responses(game: Game, a, j: int) -> set[int]:
 
 def is_pne(game: Game, a, margin: float = 0.0) -> bool:
     """True iff no author has a better response at a."""
+    check_tolerance(margin)
     state = profile_state(game, check_profile(game, a))
     return not any(
         next(_improving_moves(state, j, margin), None) for j in range(1, game.n + 1)
@@ -202,6 +205,7 @@ def run_dynamics(
     scheduler derives all choices from its seed.
     """
     a = check_profile(game, init)
+    check_tolerance(margin)
     if max_steps is None:
         max_steps = default_max_steps(game)
     if max_steps <= 0:

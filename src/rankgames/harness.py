@@ -227,7 +227,7 @@ def config_from_dict(d) -> ExperimentConfig:
             sorted_D=bool(d.get("sorted_D", True)),
             denominator_bound=int(d.get("denominator_bound", 1000)),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad experiment config: {exc!r}") from exc
 
 

@@ -120,6 +120,12 @@ def improves(u_old, u_new, margin: float = 0.0) -> bool:
     return u_new - u_old > margin * max(abs(u_old), abs(u_new))
 
 
+def check_tolerance(x, name: str = "margin"):
+    """Raise a ValidationError unless x, a margin or tolerance, is finite and >= 0."""
+    if not (math.isfinite(x) and x >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {x!r}")
+
+
 # ---------- score functions ----------
 
 _SCORE_KINDS = ("constant", "identity", "power", "exponential", "exp_minus_one")

@@ -11,6 +11,7 @@ from rankgames.errors import (
     CyclicGraphError,
     PreconditionError,
     TrajectoryError,
+    ValidationError,
 )
 
 
@@ -237,3 +238,23 @@ def test_analysis_report_pne_are_the_graph_sinks(seed, mediator, margin):
                                 sorted_D=False, mediator=mediator)
     rep = rg.analysis_report(g, margin=margin)
     assert rep["pne"] == [list(a) for a in rg.enumerate_pne(g, margin=margin)]
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), -1.0, -1e-12]
+
+
+@pytest.mark.parametrize("x", BAD_TOLERANCES)
+def test_bad_margins_and_tolerances_are_rejected(exposure_example, x):
+    g = exposure_example
+    cycle = [(1, 1), (2, 1), (1, 1)]
+    calls = (
+        lambda: rg.improvement_graph(g, margin=x),
+        lambda: rg.run_dynamics(g, (2, 2), rg.RoundRobin(), margin=x),
+        lambda: rg.better_responses(g, (2, 2), 1, margin=x),
+        lambda: rg.is_pne(g, (2, 2), margin=x),
+        lambda: rg.verify_improvement_cycle(g, cycle, margin=x),
+        lambda: rg.exact_potential_check(g, tol=x),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()

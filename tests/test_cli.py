@@ -60,6 +60,19 @@ def test_analyze_invalid_game_exits_2(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{game}", "--margin", "nan"],
+    ["analyze", "{game}", "--margin=-1e-12"],
+    ["analyze", "{game}", "--tol", "inf"],
+    ["simulate", "{game}", "--init", "2,2", "--margin", "-1"],
+    ["simulate", "{game}", "--init", "2,2", "--margin", "nan"],
+], ids=["analyze margin nan", "analyze margin -1e-12", "analyze tol inf",
+        "simulate margin -1", "simulate margin nan"])
+def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
+    assert main([a.format(game=game_file) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_tiny_budget_exits_3(game_file, capsys):
     assert main(["analyze", game_file, "--budget", "2"]) == 3
 
@@ -177,10 +190,14 @@ def test_suite_writes_reports(tmp_path, capsys):
     assert len(doc["rows"]) == 2
 
 
-def test_suite_bad_config_exits_2(tmp_path):
+def test_suite_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 1}))
-    assert main(["suite", str(path)]) == 2
+    for text in ('{"seed": 1}',
+                 '{"seed": "abc", "games": 3, "n_range": [2, 2], "m_range": [2, 2]}',
+                 '{"seed": 1, "games": Infinity, "n_range": [2, 2], "m_range": [2, 2]}'):
+        path.write_text(text)
+        assert main(["suite", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad experiment config")
 
 
 @pytest.mark.parametrize("command", ["analyze", "suite"])

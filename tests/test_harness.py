@@ -134,6 +134,10 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         config_from_dict({"seed": 1, "games": 3, "n_range": [2, 2],
                           "m_range": [2, 2], "checks": ["fip", "entropy"]})
+    with pytest.raises(ValidationError):
+        config_from_dict({"seed": "abc", "games": 3, "n_range": [2, 2], "m_range": [2, 2]})
+    with pytest.raises(ValidationError):
+        config_from_dict({"seed": 1, "games": float("inf"), "n_range": [2, 2], "m_range": [2, 2]})
 
 
 def test_suite_runs_and_is_deterministic(tmp_path):

@@ -3,13 +3,14 @@
 improvement_graph and exact_potential_check read every utility from one
 column store per game, by profile index. The oracles here are the direct
 constructions: a graph built from utility() and replace_topic, and the scan
-that evaluates potential_residual on every 2x2 subgame.
+that evaluates every 2x2 subgame's residual from utility_vector.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rankgames as rg
 from rankgames import analysis
@@ -60,8 +61,21 @@ def naive_graph(game, margin):
     return adj
 
 
+def separability_residual(game, i, j, topics_i, topics_j, base):
+    """With X = u_i - u_j: (X[s2][t1] - X[s1][t1]) - (X[s2][t2] - X[s1][t2]),
+    the order in which the scan evaluates float residuals."""
+    def x(s, t):
+        vec = rg.utility_vector(game, rg.replace_topic(rg.replace_topic(base, i, s), j, t))
+        return vec[i - 1] - vec[j - 1]
+
+    (s1, s2), (t1, t2) = topics_i, topics_j
+    return (x(s2, t1) - x(s1, t1)) - (x(s2, t2) - x(s1, t2))
+
+
 def naive_residuals(game):
-    """|potential_residual| and its subgame, subgame by subgame in scan order."""
+    """|residual| and its subgame, subgame by subgame in scan order: under
+    prp/rand potential_residual's, under scoring separability_residual's."""
+    residual = separability_residual if game.mediator.kind == "scoring" else rg.potential_residual
     n, m = game.n, game.m
     others_profiles = list(rg.iter_profiles(max(n - 2, 0), m)) or [()]
     for i in range(1, n):
@@ -76,12 +90,12 @@ def naive_residuals(game):
                     for s2 in range(s1 + 1, m + 1):
                         for t1 in range(1, m):
                             for t2 in range(t1 + 1, m + 1):
-                                res = rg.potential_residual(game, i, j, (s1, s2), (t1, t2), base)
+                                res = residual(game, i, j, (s1, s2), (t1, t2), base)
                                 yield abs(res), rg.PotentialWitness((i, j), (s1, s2), (t1, t2), base)
 
 
 def naive_potential_check(game, tol=1e-9, residuals=None):
-    """The scan over potential_residual, subgame by subgame."""
+    """The scan over naive_residuals, subgame by subgame."""
     exact = game.mediator.kind != "scoring"
     worst = Fraction(0) if exact else 0.0
     witness = None
@@ -111,17 +125,26 @@ def test_graph_margin_on_float_ties():
 
 @settings(max_examples=60)
 @given(games())
+# on this game's floats, X[s2][t1] - X[s1][t1] - X[s2][t2] + X[s1][t2]
+# equals the worst residual at no t-pair of the witness's s-pair: the t-pair
+# must come from the w values of the scan's own order
+@example(rg.generate_random_game(1, 3, 3, mediator=MEDIATORS[3]))
 def test_potential_check_matches_residual_scan(game):
     assert_potential_check_matches(game)
 
 
 def assert_potential_check_matches(game, residuals=None):
-    # the oracle runs on an equal game, so its potential_residual calls
-    # share no cache with the scan
+    # the oracle runs on an equal game, so its utility_vector calls share no
+    # cache with the scan
     want = naive_potential_check(fresh(game), residuals=residuals)
     got = rg.exact_potential_check(game)
     assert got == want
     assert type(got.worst_residual) is type(want.worst_residual)
+    if got.witness is not None and game.mediator.kind == "scoring":
+        # potential_residual sums the same utilities in another order
+        w = got.witness
+        at = abs(rg.potential_residual(fresh(game), *w.authors, w.topics_i, w.topics_j, w.base))
+        assert math.isclose(at, got.worst_residual, rel_tol=1e-12, abs_tol=1e-14)
 
 
 # tie-rich games where several subgames attain the worst residual: the
