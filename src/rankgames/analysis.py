@@ -12,7 +12,6 @@ quality.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, cycle, islice, repeat
@@ -23,6 +22,7 @@ from .errors import (
     CyclicGraphError,
     PreconditionError,
     TrajectoryError,
+    ValidationError,
 )
 from .model import (
     ACTION,
@@ -40,12 +40,16 @@ from .model import (
     profile_state,
     replace_topic,
     utility_vector,
+    _Record,
+    _set,
     _utility_columns,
 )
 from .dynamics import Trajectory
 
 
 def _check_budget(game: Game, budget: int):
+    if budget < 1:
+        raise ValidationError(f"the enumeration budget must be at least 1, got {budget}")
     if game.m**game.n > budget:
         raise BudgetExceededError(
             f"{game.m}^{game.n} profiles exceed the enumeration budget {budget}"
@@ -54,15 +58,19 @@ def _check_budget(game: Game, budget: int):
 
 # ---------- improvement graph ----------
 
-@dataclass
-class ImprovementGraph:
+class ImprovementGraph(_Record):
     """Adjacency over canonically indexed profiles; edge a -> a' when one
-    author strictly improves by switching to a'."""
+    author strictly improves by switching to a'. Mutable, so unhashable."""
 
+    __match_args__ = __slots__ = ("game", "n_nodes", "adj", "margin")
+    _defaults = {"margin": 0.0}
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     game: Game
     n_nodes: int
     adj: list[list[int]]
-    margin: float = 0.0
+    margin: float
 
     def profile_of(self, i: int) -> Profile:
         return profile_at(i, self.game.n, self.game.m)
@@ -261,19 +269,19 @@ def longest_improvement_path(graph: ImprovementGraph) -> int:
 
 # ---------- exact potential ----------
 
-@dataclass(frozen=True)
-class PotentialWitness:
+class PotentialWitness(_Record):
     """A 2x2 subgame: two authors, a strategy pair for each, and the fixed
     profile of everyone else (entries at the two authors are placeholders)."""
 
+    __match_args__ = __slots__ = ("authors", "topics_i", "topics_j", "base")
     authors: tuple[int, int]
     topics_i: tuple[int, int]
     topics_j: tuple[int, int]
     base: Profile
 
 
-@dataclass(frozen=True)
-class PotentialReport:
+class PotentialReport(_Record):
+    __match_args__ = __slots__ = ("has_exact_potential", "worst_residual", "witness")
     has_exact_potential: bool
     worst_residual: object  # max |residual| over all 2x2 subgames
     witness: PotentialWitness | None
@@ -406,28 +414,44 @@ def _by_kind(group: list, blocks: list[int], r0: int, r1: int) -> list:
 
 # ---------- path invariants ----------
 
-@dataclass(frozen=True)
-class PathStatistics:
+# The path-invariant records are built once per trajectory, so they have
+# their own __init__ (see _Record).
+
+class PathStatistics(_Record):
     """Per-profile top-quality/top-count tables along a trajectory, with the
     per-topic minimum top count and maximum top quality over the whole path."""
 
-    top_quality_rows: tuple[tuple[Fraction, ...], ...]
-    top_count_rows: tuple[tuple[int, ...], ...]
-    min_top_count: tuple[int, ...]
-    max_top_quality: tuple[Fraction, ...]
+    __match_args__ = __slots__ = (
+        "top_quality_rows", "top_count_rows", "min_top_count", "max_top_quality"
+    )
+
+    def __init__(self, top_quality_rows: tuple[tuple[Fraction, ...], ...],
+                 top_count_rows: tuple[tuple[int, ...], ...],
+                 min_top_count: tuple[int, ...], max_top_quality: tuple[Fraction, ...]):
+        _set(self, "top_quality_rows", top_quality_rows)
+        _set(self, "top_count_rows", top_count_rows)
+        _set(self, "min_top_count", min_top_count)
+        _set(self, "max_top_quality", max_top_quality)
 
 
-@dataclass(frozen=True)
-class StepCheck:
-    index: int
-    mover_quality_at_top: bool  # mover's quality reaches the pre-step top
-    bound: str  # "pass", "fail", or "n/a" when the mover strictly exceeds the top
+class StepCheck(_Record):
+    """mover_quality_at_top: the mover's quality reaches the pre-step top.
+    bound: "pass", "fail", or "n/a" when the mover strictly exceeds the top."""
+
+    __match_args__ = __slots__ = ("index", "mover_quality_at_top", "bound")
+
+    def __init__(self, index: int, mover_quality_at_top: bool, bound: str):
+        _set(self, "index", index)
+        _set(self, "mover_quality_at_top", mover_quality_at_top)
+        _set(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class PathInvariantReport:
-    statistics: PathStatistics
-    checks: tuple[StepCheck, ...]
+class PathInvariantReport(_Record):
+    __match_args__ = __slots__ = ("statistics", "checks")
+
+    def __init__(self, statistics: PathStatistics, checks: tuple[StepCheck, ...]):
+        _set(self, "statistics", statistics)
+        _set(self, "checks", checks)
 
     @property
     def failures(self) -> int:

@@ -11,7 +11,6 @@ function plus a coarse-to-fine grid scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SearchError, ValidationError
@@ -27,6 +26,7 @@ from .model import (
     improves,
     make_game,
     utility_vector,
+    _Record,
 )
 
 # the one cycle all three constructions share: movers 2, 3, 4, 2, 3, 4
@@ -49,18 +49,19 @@ def closed_cycle() -> tuple[Profile, ...]:
 
 # ---------- bundle ----------
 
-@dataclass(frozen=True)
-class CycleStep:
+class CycleStep(_Record):
+    __match_args__ = __slots__ = ("mover", "gain", "ok")
     mover: int | None
     gain: object
     ok: bool
 
 
-@dataclass(frozen=True)
-class CounterexampleBundle:
+class CounterexampleBundle(_Record):
     """A constructed game, its verified improvement cycle (closed list of 7
-    profiles), and the parameters the search settled on."""
+    profiles), and the parameters the search settled on. Unhashable, as its
+    params are a dict."""
 
+    __match_args__ = __slots__ = ("game", "cycle", "params")
     game: Game
     cycle: tuple[Profile, ...]
     params: dict
@@ -152,11 +153,11 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40,
     multiples of x1/2**L), then places c2 between 2*c1 and its feasibility
     ceiling f(x2)/f(0) and recovers x3 by bisection.
     """
+    if not 0 < x1 <= 1:
+        raise ValidationError("x1 must lie in (0, 1]")
     f0, f1 = f(0.0), f(x1)
     if not f1 > 2 * f0:
         raise PreconditionError("score function must satisfy f(x1) > 2*f(0)")
-    if not 0 < x1 <= 1:
-        raise ValidationError("x1 must lie in (0, 1]")
     for level in range(1, max_level + 1):
         step = x1 / 2**level
         for k in range(2**level - 1, 0, -2):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import (
@@ -26,6 +25,8 @@ from .model import (
     Game,
     Profile,
     ProfileState,
+    _Record,
+    _set,
     check_profile,
     check_tolerance,
     _check_mover,
@@ -42,28 +43,36 @@ BEST = "best"
 
 # ---------- steps and trajectories ----------
 
-@dataclass(frozen=True)
-class Step:
+# Step, Trajectory, the schedulers and the outcomes are built in the run
+# loops, so they have their own __init__ (see _Record).
+
+class Step(_Record):
     """One improvement step: at step r author `mover` switched from_topic ->
     to_topic, raising her utility from utility_before to utility_after."""
 
-    index: int
-    mover: int
-    from_topic: int
-    to_topic: int
-    utility_before: object
-    utility_after: object
+    __match_args__ = __slots__ = (
+        "index", "mover", "from_topic", "to_topic", "utility_before", "utility_after"
+    )
 
-    def __post_init__(self):
-        if self.from_topic == self.to_topic:
+    def __init__(self, index: int, mover: int, from_topic: int, to_topic: int,
+                 utility_before: object, utility_after: object):
+        if from_topic == to_topic:
             raise ValidationError("a step must change the mover's topic")
+        _set(self, "index", index)
+        _set(self, "mover", mover)
+        _set(self, "from_topic", from_topic)
+        _set(self, "to_topic", to_topic)
+        _set(self, "utility_before", utility_before)
+        _set(self, "utility_after", utility_after)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    initial: Profile
-    steps: tuple[Step, ...]
-    terminal: Profile
+class Trajectory(_Record):
+    __match_args__ = __slots__ = ("initial", "steps", "terminal")
+
+    def __init__(self, initial: Profile, steps: tuple[Step, ...], terminal: Profile):
+        _set(self, "initial", initial)
+        _set(self, "steps", steps)
+        _set(self, "terminal", terminal)
 
     def profiles(self) -> list[Profile]:
         """The visited profiles a^0 .. a^T, replaying steps from initial."""
@@ -81,24 +90,32 @@ class Trajectory:
 
 # ---------- schedulers ----------
 
-@dataclass(frozen=True)
-class RoundRobin:
+class RoundRobin(_Record):
     """Cycle authors in a fixed order (default 1..n); each visit moves if an
     improving topic exists."""
 
-    order: tuple[int, ...] | None = None
+    __match_args__ = __slots__ = ("order",)
+
+    def __init__(self, order: tuple[int, ...] | None = None):
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
-class FirstDeviator:
+class FirstDeviator(_Record):
     """Always move the lowest-index author who can improve."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RandomOrder:
+    def __init__(self):
+        pass
+
+
+class RandomOrder(_Record):
     """Pick uniformly at random among all improving moves; seeded."""
 
-    seed: int = 0
+    __match_args__ = __slots__ = ("seed",)
+
+    def __init__(self, seed: int = 0):
+        _set(self, "seed", seed)
 
 
 Scheduler = RoundRobin | FirstDeviator | RandomOrder
@@ -106,24 +123,31 @@ Scheduler = RoundRobin | FirstDeviator | RandomOrder
 
 # ---------- outcomes ----------
 
-@dataclass(frozen=True)
-class ConvergedPNE:
-    profile: Profile
-    steps_taken: int
-    trajectory: Trajectory
-    repeat_seen: bool = False
+class ConvergedPNE(_Record):
+    __match_args__ = __slots__ = ("profile", "steps_taken", "trajectory", "repeat_seen")
+
+    def __init__(self, profile: Profile, steps_taken: int, trajectory: Trajectory,
+                 repeat_seen: bool = False):
+        _set(self, "profile", profile)
+        _set(self, "steps_taken", steps_taken)
+        _set(self, "trajectory", trajectory)
+        _set(self, "repeat_seen", repeat_seen)
 
 
-@dataclass(frozen=True)
-class RepeatDetected:
-    trajectory: Trajectory
-    repeated_profile_index: int
+class RepeatDetected(_Record):
+    __match_args__ = __slots__ = ("trajectory", "repeated_profile_index")
+
+    def __init__(self, trajectory: Trajectory, repeated_profile_index: int):
+        _set(self, "trajectory", trajectory)
+        _set(self, "repeated_profile_index", repeated_profile_index)
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    trajectory: Trajectory
-    repeat_seen: bool = False
+class BudgetExhausted(_Record):
+    __match_args__ = __slots__ = ("trajectory", "repeat_seen")
+
+    def __init__(self, trajectory: Trajectory, repeat_seen: bool = False):
+        _set(self, "trajectory", trajectory)
+        _set(self, "repeat_seen", repeat_seen)
 
 
 DynamicsOutcome = ConvergedPNE | RepeatDetected | BudgetExhausted

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
@@ -29,6 +28,7 @@ from .model import (
     mediator_from_dict,
     mediator_to_dict,
     utility_vector,
+    _Record,
 )
 from .dynamics import (
     ConvergedPNE,
@@ -181,21 +181,28 @@ _CSV_COLUMNS = (
 CHECKS = ("fip", "pne", "potential", "dynamics")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Deterministic description of a batch run."""
 
+    __match_args__ = __slots__ = (
+        "seed", "games", "n_range", "m_range", "mediator", "scheme", "checks", "budget",
+        "generic_Q", "sorted_D", "denominator_bound",
+    )
+    _defaults = {
+        "mediator": PRP, "scheme": EXPOSURE, "checks": frozenset(CHECKS), "budget": DEFAULT_BUDGET,
+        "generic_Q": True, "sorted_D": True, "denominator_bound": 1000,
+    }
     seed: int
     games: int
     n_range: tuple[int, int]
     m_range: tuple[int, int]
-    mediator: Mediator = PRP
-    scheme: str = EXPOSURE
-    checks: frozenset = frozenset(CHECKS)
-    budget: int = DEFAULT_BUDGET
-    generic_Q: bool = True
-    sorted_D: bool = True
-    denominator_bound: int = 1000
+    mediator: Mediator
+    scheme: str
+    checks: frozenset
+    budget: int
+    generic_Q: bool
+    sorted_D: bool
+    denominator_bound: int
 
     def __post_init__(self):
         if self.games < 0:
@@ -231,13 +238,23 @@ def config_from_dict(d) -> ExperimentConfig:
         raise ValidationError(f"bad experiment config: {exc!r}") from exc
 
 
-@dataclass
-class ExperimentReport:
-    """Per-game rows plus aggregate statistics; bit-identical per config."""
+class ExperimentReport(_Record):
+    """Per-game rows plus aggregate statistics; bit-identical per config.
+    Mutable, so unhashable."""
 
+    __match_args__ = __slots__ = ("config", "rows", "aggregate")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     config: ExperimentConfig
-    rows: list[dict] = field(default_factory=list)
-    aggregate: dict = field(default_factory=dict)
+    rows: list[dict]
+    aggregate: dict
+
+    def __init__(self, config, rows=None, aggregate=None):
+        # a fresh list and dict per report, where none are given
+        self.config = config
+        self.rows = [] if rows is None else rows
+        self.aggregate = {} if aggregate is None else aggregate
 
     def to_csv(self) -> str:
         out = io.StringIO()

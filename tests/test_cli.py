@@ -73,6 +73,18 @@ def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{game}", "--budget", "-1"],
+    ["analyze", "{game}", "--budget", "0"],
+    # f(x1) would be complex, or overflow, before x1's range is checked
+    ["counterexample", "thm3", "--f", "power", "--param", "0.5", "--x1", "-1"],
+    ["counterexample", "thm3", "--f", "exponential", "--param", "700", "--x1", "2"],
+], ids=["analyze budget -1", "analyze budget 0", "thm3 power x1 -1", "thm3 exponential x1 2"])
+def test_out_of_range_argument_exits_2(argv, game_file, capsys):
+    assert main([a.format(game=game_file) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_tiny_budget_exits_3(game_file, capsys):
     assert main(["analyze", game_file, "--budget", "2"]) == 3
 
