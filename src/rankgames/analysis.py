@@ -89,12 +89,12 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
     _check_budget(game, budget)
     n, m = game.n, game.m
     size = m**n
-    cols, lcd = _utility_columns(game)
+    cols, scale = _utility_columns(game)
     gain = lt  # at margin 0, improves(u0, u1) is u0 < u1 on ints and floats alike
     if margin:
         gain = partial(improves, margin=margin)
-        if lcd is not None:
-            cols = [[Fraction(u, lcd) for u in col] for col in cols]
+        if scale is not None:
+            cols = [[Fraction(u, scale) for u in col] for col in cols]
     adj: list[list[int]] = [[] for _ in range(size)]
     # Author j moving d topics up moves the profile index by d * w. The
     # passes add the edges in the order that leaves every out-list sorted:
@@ -320,13 +320,13 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     and Shapley, 1996): with X = u_i - u_j and w_t = X[s2][t] - X[s1][t],
     the residual of (s1, s2) x (t1, t2) is w_t1 - w_t2, so the worst over
     the t-pairs is max(w) - min(w). The scan reads the game's utility
-    columns. Under prp/rand they are ints over L: the test is exact and the
-    worst residual is a Fraction over L. Under scoring they are floats, the
-    worst is a float and a potential is reported when it is at most tol;
-    it can differ in the last bits from potential_residual at the witness,
-    which sums the same eight utilities in another order. The witness is
-    the first subgame in the order pair, rest, (s1, s2), (t1, t2) that
-    attains the worst residual.
+    columns. Under prp/rand they are ints over the kernel's scale S: the
+    test is exact and the worst residual is a Fraction over S. Under
+    scoring they are floats, the worst is a float and a potential is
+    reported when it is at most tol; it can differ in the last bits from
+    potential_residual at the witness, which sums the same eight utilities
+    in another order. The witness is the first subgame in the order pair,
+    rest, (s1, s2), (t1, t2) that attains the worst residual.
     """
     check_tolerance(tol, "tol")
     _check_budget(game, budget)
@@ -334,10 +334,10 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     exact = game.mediator.kind != "scoring"
     if n < 2 or m < 2:  # no 2x2 subgame
         return PotentialReport(True, Fraction(0) if exact else 0.0, None)
-    cols, lcd = _utility_columns(game)
+    cols, scale = _utility_columns(game)
     worst, witness = _scan_vectors(cols, n, m)
     if exact:
-        worst = Fraction(worst, lcd)
+        worst = Fraction(worst, scale)
         return PotentialReport(worst == 0, worst, witness)
     return PotentialReport(worst <= tol, float(worst), witness)
 
@@ -504,7 +504,8 @@ def path_invariant_report(game: Game, t: Trajectory) -> PathInvariantReport:
             if game.scheme == ACTION:
                 cap = cap * stats.max_top_quality[k]
             # prp utilities are exact rationals, so the comparison is exact
-            u_after = states[r + 1].utility(s.mover, s.to_topic)
+            after = states[r + 1]
+            u_after = after.kernel.value(after.utility(s.mover, s.to_topic))
             bound = "pass" if u_after <= cap else "fail"
         checks.append(StepCheck(s.index, key >= top, bound))
     return PathInvariantReport(stats, tuple(checks))
@@ -528,9 +529,10 @@ def _replay(game: Game, t: Trajectory) -> list[ProfileState]:
             raise TrajectoryError(f"step {s.index}: invalid topic {s.to_topic}")
         u0 = before.utility(s.mover, s.from_topic)
         u1 = before.utility(s.mover, s.to_topic)
-        if not improves(u0, u1):
+        if not u1 > u0:
             raise TrajectoryError(f"step {s.index}: not a strict improvement in this game")
-        if s.utility_before != u0 or s.utility_after != u1:
+        value = before.kernel.value
+        if s.utility_before != value(u0) or s.utility_after != value(u1):
             raise TrajectoryError(f"step {s.index}: recorded utilities do not match the game")
         # the profile after a step is built only once the step has passed
         states.append(profile_state(game, next(walk)))

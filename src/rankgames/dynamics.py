@@ -12,6 +12,12 @@ author visit at that profile reads its m deviations from it: O(1) each under
 prp and rand, O(writers on the target topic) under scoring. Utility vectors
 of visited profiles are not memoized; only the all-starts pass, which visits
 every profile anyway, keeps each profile's state and moves.
+
+Under prp and rand the kernel's utilities are ints over the game's scale S,
+so at margin 0 a move improves when one int exceeds another. At a margin
+above 0 both sides go through improves as Fractions. Fractions are built
+only for what the API hands out: better_responses' values and the Step
+utilities (kernel.value).
 """
 
 from __future__ import annotations
@@ -157,13 +163,14 @@ DynamicsOutcome = ConvergedPNE | RepeatDetected | BudgetExhausted
 
 def _improving_moves(state: ProfileState, j: int, margin: float):
     """(t, u_before, u_after) for each topic t that strictly improves author
-    j at state's profile, in ascending t."""
+    j at state's profile, in ascending t, the utilities in kernel units."""
     s = state.a[j - 1]
     u0 = state.utility(j, s)
+    value = state.kernel.value
     for t in state.kernel.topics:
         if t != s:
             u1 = state.utility(j, t)
-            if improves(u0, u1, margin):
+            if improves(value(u0), value(u1), margin) if margin else u1 > u0:
                 yield t, u0, u1
 
 
@@ -171,7 +178,8 @@ def better_responses(game: Game, a, j: int, margin: float = 0.0) -> dict:
     """Topics j can switch to for a strict gain, mapped to the new utility."""
     check_tolerance(margin)
     state = profile_state(game, _check_mover(game, a, j))
-    return {t: u1 for t, _, u1 in _improving_moves(state, j, margin)}
+    value = state.kernel.value
+    return {t: value(u1) for t, _, u1 in _improving_moves(state, j, margin)}
 
 
 def best_responses(game: Game, a, j: int) -> set[int]:
@@ -193,7 +201,7 @@ def is_pne(game: Game, a, margin: float = 0.0) -> bool:
 
 def _move_for(state: ProfileState, j: int, response: str, margin: float):
     """The move j would make at state's profile, as (to_topic, u_before,
-    u_after), or None."""
+    u_after) in kernel units, or None."""
     if response == BETTER:
         return next(_improving_moves(state, j, margin), None)
     # the lowest-index best response, which may be j's current topic
@@ -201,7 +209,8 @@ def _move_for(state: ProfileState, j: int, response: str, margin: float):
     u1 = max(us)
     t = us.index(u1) + 1
     u0 = us[state.a[j - 1] - 1]
-    if t == state.a[j - 1] or not improves(u0, u1, margin):
+    value = state.kernel.value
+    if t == state.a[j - 1] or not (improves(value(u0), value(u1), margin) if margin else u1 > u0):
         return None
     return t, u0, u1
 
@@ -293,7 +302,8 @@ def run_dynamics(
 
         j, t, u0, u1 = move
         a2 = replace_topic(a, j, t)
-        steps.append(Step(len(steps) + 1, j, a[j - 1], t, u0, u1))
+        value = state.kernel.value
+        steps.append(Step(len(steps) + 1, j, a[j - 1], t, value(u0), value(u1)))
         a = a2
         if a in seen:
             if deterministic:

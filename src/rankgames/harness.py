@@ -127,11 +127,9 @@ def generate_random_game(
         weights = [rng.randint(1, d) for _ in range(m)]
 
     # numerators[i * m + k] / d is author i+1's quality on topic k+1
-    return Game(
-        demand_den=sum(weights), demand_num=weights,
-        quality_den=(d,) * m, quality_num=[numerators[k::m] for k in range(m)],
-        mediator=mediator, scheme=scheme,
-    )
+    # positional, as the generic record constructor binds keywords one by one
+    return Game(sum(weights), weights, (d,) * m, [numerators[k::m] for k in range(m)],
+                mediator, scheme)
 
 
 # ---------- greedy assignment ----------

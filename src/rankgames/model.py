@@ -13,19 +13,23 @@ score function in floating point; everything else stays rational.
 Every utility is computed by one deviation kernel: a ProfileState holds the
 per-topic aggregates of a profile, from which any author's utility after a
 single-topic move follows in O(1) under prp and rand and in O(writers on the
-target topic) under scoring. The exhaustive analyses read every profile's
+target topic) under scoring. Under prp and rand its utilities are ints
+over one per-game scale S, compared as ints; Fractions are built only where
+the API hands a utility out. The exhaustive analyses read every profile's
 utilities from one column store per game, built from the kernel's
 aggregates once they have checked the enumeration budget.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, product, repeat
-from operator import or_
+from operator import floordiv, mul, or_
 
 from .errors import ValidationError
 
@@ -67,28 +71,34 @@ def as_rational(x) -> Fraction:
     raise ValidationError(f"not a rational value: {x!r}")
 
 
-def _ratio(x) -> tuple[int, int]:
-    """x as (numerator, positive denominator), not necessarily reduced: the
-    ASCII "p/q" form that game_to_dict writes as two ints, every other
-    spelling through as_rational, with its values and ValidationErrors."""
-    if type(x) is str:
-        num, _, den = x.partition("/")
-        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-            try:
-                p, q = int(num), int(den)
-            except ValueError as exc:
-                raise ValidationError(f"cannot parse rational {x!r}") from exc
-            if q:
-                return p, q
-            raise ValidationError(f"cannot parse rational {x!r}")
-    x = as_rational(x)
-    return x.numerator, x.denominator
+# a list of game_to_dict's "p/q" strings joined by commas: ASCII digits, no
+# sign, space or leading zero, and a positive denominator
+_PQ = "(?:0|[1-9][0-9]*)/[1-9][0-9]*"
+_PQ_LIST = re.compile(f"{_PQ}(?:,{_PQ})*")
 
 
-def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """A common denominator of the ratios and their numerators over it."""
-    den = math.lcm(*(q for _, q in ratios))
-    return den, [p * (den // q) for p, q in ratios]
+def _ratios(values: list) -> tuple[list[int], list[int]]:
+    """The numerators and positive denominators of values, not necessarily
+    reduced. A list of "p/q" strings, the form game_to_dict writes, is read
+    in one pass; any other list entry by entry through as_rational, with
+    its values and ValidationErrors."""
+    try:
+        text = ",".join(values)
+        # a comma inside an entry would shift every later entry
+        if _PQ_LIST.fullmatch(text) and text.count(",") == len(values) - 1:
+            flat = json.loads(f"[{text.replace('/', ',')}]")
+            return flat[0::2], flat[1::2]
+    except (TypeError, ValueError):
+        # an entry that is not a string, or a half beyond the integer digit limit
+        pass
+    xs = list(map(as_rational, values))
+    return [x.numerator for x in xs], [x.denominator for x in xs]
+
+
+def _over_lcm(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
+    """A common denominator of the ratios nums[i]/dens[i] and their numerators over it."""
+    den = math.lcm(*dens)
+    return den, list(map(mul, nums, map(floordiv, repeat(den), dens)))
 
 
 def _format_over(den: int, nums) -> list[str]:
@@ -133,12 +143,13 @@ class _Record:
     """Base of the package's value records.
 
     A record lists its fields in __match_args__ and __slots__, the defaults
-    of trailing fields in _defaults, and its checks in __post_init__. The
-    base gives positional and keyword construction, == between records of
-    one class, hash and repr over the fields, pickling, and immutability.
-    A mutable record sets __setattr__ and __delattr__ back to object's and
-    __hash__ to None. Records built in hot loops write their own __init__,
-    which is faster than both this generic one and a dataclass's.
+    of trailing fields in _defaults, in field order, and its checks in
+    __post_init__. The base gives positional and keyword construction, ==
+    between records of one class, hash and repr over the fields, pickling,
+    and immutability. A mutable record sets __setattr__ and __delattr__
+    back to object's and __hash__ to None. Records built in hot loops write
+    their own __init__, which is faster than both this generic one and a
+    dataclass's.
 
     Unlike a dataclass, a record generates and compiles no code when its
     class is created, which saves about a millisecond per record type on
@@ -148,10 +159,17 @@ class _Record:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
     _defaults: dict = {}
+    _tail: tuple = ()  # the values of _defaults, in field order
+
+    def __init_subclass__(cls):
+        cls._tail = tuple(cls._defaults.values())
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
-        if kwargs or len(args) != len(names):
+        short = len(names) - len(args)
+        if short and not kwargs and 0 < short <= len(self._tail):
+            args += self._tail[-short:]
+        elif kwargs or short:
             name = type(self).__name__
             if len(args) > len(names):
                 raise TypeError(f"{name}() takes {len(names)} arguments but {len(args)} were given")
@@ -377,16 +395,16 @@ def make_game(demand, quality, mediator: Mediator = PRP, scheme: str = EXPOSURE)
     """Build a Game from loosely typed demand/quality values: Fractions,
     ints, floats (read through their shortest repr) and strings ("p/q" or
     decimal), each read as as_rational reads it."""
-    d_den, d_num = _over_lcm(list(map(_ratio, demand)))
-    rows = [list(map(_ratio, row)) for row in quality]
-    if any(len(row) != len(d_num) for row in rows):
+    demand = list(demand)
+    rows = [list(row) for row in quality]
+    m = len(demand)
+    if any(len(row) != m for row in rows):
         raise ValidationError("quality matrix must be n x m")
-    cols = [_over_lcm(col) for col in zip(*rows)]
-    return Game(
-        demand_den=d_den, demand_num=d_num,
-        quality_den=[den for den, _ in cols], quality_num=[col for _, col in cols],
-        mediator=mediator, scheme=scheme,
-    )
+    nums, dens = _ratios(demand + list(chain.from_iterable(rows)))
+    d_den, d_num = _over_lcm(nums[:m], dens[:m])
+    # quality column t: every m-th entry after the demand, from m + t
+    cols = [_over_lcm(nums[t::m], dens[t::m]) for t in range(m, 2 * m)]
+    return Game(d_den, d_num, [den for den, _ in cols], [col for _, col in cols], mediator, scheme)
 
 
 def check_profile(game: Game, a) -> Profile:
@@ -434,9 +452,6 @@ def profile_at(i: int, n: int, m: int) -> Profile:
 
 # ---------- the deviation kernel ----------
 
-_ZERO = Fraction(0)
-
-
 class _Kernel:
     """Per-game tables of the deviation kernel, built once per game.
 
@@ -444,8 +459,9 @@ class _Kernel:
     top-quality comparisons are integer comparisons.
     scoring: f(q) per topic column, float demand and quality, each num / den,
     which is float(Fraction(num, den)) bit for bit.
-    prp and rand: the exact shares D_t/h (times q_jt under action), filled
-    lazily, at most n*m*n entries.
+    prp and rand: the shares D_t/h (times q_jt under action) as ints over
+    scale = demand_den * lcm(1..n), times lcm(quality_den) under action, a
+    multiple of every share's denominator; filled lazily, at most n*m*n.
     """
 
     def __init__(self, game: Game):
@@ -459,7 +475,13 @@ class _Kernel:
         self.topics = range(1, game.m + 1)
         self.action = game.scheme == ACTION
         self.shares: dict = {}
+        self.values: dict = {}
+        self.scale = None
         kind = game.mediator.kind
+        if kind != "scoring":
+            self.scale = game.demand_den * math.lcm(*range(1, game.n + 1))
+            if self.action:
+                self.scale *= math.lcm(*game.quality_den)
         if kind == "prp":
             self.qkey = [list(row) for row in zip(*game.quality_num)]
             self.state_class = _TopRankState
@@ -476,26 +498,37 @@ class _Kernel:
                 raise ValidationError("a topic's scores sum beyond the float range")
             self.state_class = _ScoringState
 
-    def share(self, j: int, t: int, h: int) -> Fraction:
-        """D_t/h, times q_jt under the action scheme: a writer's utility
-        when she is one of h equally ranked writers on topic t."""
+    def share(self, j: int, t: int, h: int) -> int:
+        """D_t/h, times q_jt under the action scheme, times scale: a writer's
+        utility when she is one of h equally ranked writers on topic t."""
         key = (j, t, h) if self.action else (t, h)
         s = self.shares.get(key)
         if s is None:
-            num, den = self.demand_num[t - 1], self.demand_den * h
+            # exact divisions: h divides lcm(1..n), quality_den[t-1] its lcm
+            s = self.demand_num[t - 1] * self.scale // (self.demand_den * h)
             if self.action:
-                num *= self.quality_num[t - 1][j - 1]
-                den *= self.quality_den[t - 1]
-            s = self.shares[key] = Fraction(num, den)
+                s = s * self.quality_num[t - 1][j - 1] // self.quality_den[t - 1]
+            self.shares[key] = s
         return s
+
+    def value(self, u):
+        """A kernel utility as the API hands it out: Fraction(u, scale),
+        built once per distinct u, under prp and rand; the float itself
+        under scoring, where scale is None."""
+        if self.scale is None:
+            return u
+        v = self.values.get(u)
+        if v is None:
+            v = self.values[u] = Fraction(u, self.scale)
+        return v
 
 
 class ProfileState:
     """Per-topic aggregates of one profile a.
 
     utility(j, t) is author j's utility at a with her topic replaced by t;
-    t == a_j gives her utility at a itself. Build one per profile and ask it
-    about every deviation from that profile.
+    t == a_j gives her utility at a itself, in kernel units (_Kernel.value).
+    Build one per profile and ask it about every deviation from that profile.
     """
 
     __slots__ = ("kernel", "a")
@@ -540,7 +573,7 @@ class _TopRankState(ProfileState):
             h = self.ties[t - 1] + 1
         else:
             h = 0
-        return self.kernel.share(j, t, h) if h else _ZERO
+        return self.kernel.share(j, t, h) if h else 0
 
 
 class _UniformState(ProfileState):
@@ -599,26 +632,16 @@ def _utility_columns(game: Game) -> tuple[list[list], int | None]:
     """Every profile's utilities, one column per author, built once per game
     from kernel states: cols[j][x] is author j+1's utility at profile x.
 
-    Under prp/rand an entry is an int, the utility times L, the lcm of the
-    shares' denominators, returned with the columns; under scoring it is the
-    kernel's float and L is None. m^n * n entries, so only callers that have
+    Under prp/rand an entry is the kernel's int, the utility times S, and S
+    (kernel.scale) is returned with the columns; under scoring it is the
+    kernel's float and S is None. m^n * n entries, so only callers that have
     checked the enumeration budget may ask for it.
     """
     store = game._cache.get("columns")
-    if store is not None:
-        return store
-    n, m = game.n, game.m
-    kernel = profile_state(game, (1,) * n).kernel
-    cols = _columns_by_writer_set(kernel, n, m)
-    lcd = None
-    if game.mediator.kind != "scoring":
-        # every entry is _ZERO or one of the kernel's shares: scale each
-        # once, looked up by identity, as hashing a Fraction is slow
-        shares = [_ZERO, *kernel.shares.values()]
-        lcd = math.lcm(*(u.denominator for u in shares))
-        scaled = {id(u): u.numerator * (lcd // u.denominator) for u in shares}.__getitem__
-        cols = [list(map(scaled, map(id, col))) for col in cols]
-    store = game._cache["columns"] = (cols, lcd)
+    if store is None:
+        kernel = profile_state(game, (1,) * game.n).kernel
+        cols = _columns_by_writer_set(kernel, game.n, game.m)
+        store = game._cache["columns"] = (cols, kernel.scale)
     return store
 
 
@@ -660,13 +683,15 @@ def utility(game: Game, a, j: int):
     """Author j's utility at profile a. Exact Fraction under prp/rand,
     float under a scoring mediator."""
     a = _check_mover(game, a, j)
-    return profile_state(game, a).utility(j, a[j - 1])
+    state = profile_state(game, a)
+    return state.kernel.value(state.utility(j, a[j - 1]))
 
 
 def utility_vector(game: Game, a) -> tuple:
     """All n utilities at profile a, from one kernel state."""
     state = profile_state(game, check_profile(game, a))
-    return tuple(state.utility(j, t) for j, t in enumerate(state.a, 1))
+    value = state.kernel.value
+    return tuple(value(state.utility(j, t)) for j, t in enumerate(state.a, 1))
 
 
 # ---------- serialization ----------

@@ -2,13 +2,16 @@
 
 The library computes every utility with its deviation kernel; these
 functions follow the model's definitions instead, writer by writer, and
-the tests check the kernel and the path invariants against them. The game
-data are built here as Fraction tuples, entry by entry, and checked in
-Fractions; the tests check the library's integer game data against them.
+the tests check the kernel, the dynamics and the path invariants against
+them. The game data are built here as Fraction tuples, entry by entry, and
+checked in Fractions; the tests check the library's integer game data
+against them.
 """
 
+import random
 from fractions import Fraction
 
+import rankgames as rg
 from rankgames.errors import ValidationError
 from rankgames.model import as_rational, format_rational, mediator_to_dict
 
@@ -63,6 +66,78 @@ def rank_probabilities(game, k, a):
         u = 1.0 / len(ws)
         return {j: u for j in ws}
     return {j: s / total for j, s in scores.items()}
+
+
+def utility(game, a, j):
+    """Author j's utility at profile a: demand times rank probability, times
+    own quality under the action scheme. Fractions under prp and rand."""
+    k = a[j - 1]
+    u = game.demand[k - 1] * rank_probabilities(game, k, a)[j]
+    if game.scheme == rg.ACTION:
+        u = u * game.quality[j - 1][k - 1]
+    return u
+
+
+def gains(u0, u1, margin):
+    """u1 beats u0 by more than the relative margin."""
+    return u1 - u0 > margin * max(abs(u0), abs(u1)) if margin else u1 > u0
+
+
+def moves(game, a, j, response, margin):
+    """Author j's moves at a as (t, u_before, u_after): every improving
+    topic, ascending, for better response; the lowest-index best topic, when
+    it improves, for best response."""
+    us = {t: utility(game, rg.replace_topic(a, j, t), j) for t in range(1, game.m + 1)}
+    u0 = us[a[j - 1]]
+    if response == rg.BETTER:
+        return [(t, u0, u) for t, u in us.items() if t != a[j - 1] and gains(u0, u, margin)]
+    top = max(us.values())
+    t = min(t for t, u in us.items() if u == top)
+    return [(t, u0, top)] if t != a[j - 1] and gains(u0, top, margin) else []
+
+
+def dynamics(game, init, sched, max_steps, response=rg.BETTER, margin=0.0):
+    """run_dynamics from the definitions: the same outcome records, with
+    every utility evaluated by utility() above."""
+    n, a = game.n, tuple(init)
+    steps, seen, repeat_seen = [], {a: 0}, False
+    order = getattr(sched, "order", None) or tuple(range(1, n + 1))
+    rng = random.Random(sched.seed) if isinstance(sched, rg.RandomOrder) else None
+    ptr = idle = 0
+    while True:
+        move = None
+        if rng is not None:
+            found = [(j, *mv) for j in range(1, n + 1) for mv in moves(game, a, j, response, margin)]
+            if found:
+                move = found[rng.randrange(len(found))]
+        elif isinstance(sched, rg.FirstDeviator):
+            for j in range(1, n + 1):
+                mv = moves(game, a, j, response, margin)
+                if mv:
+                    move = (j, *mv[0])
+                    break
+        else:
+            while move is None and idle < n:
+                j = order[ptr]
+                ptr = (ptr + 1) % n
+                mv = moves(game, a, j, response, margin)
+                if mv:
+                    move, idle = (j, *mv[0]), 0
+                else:
+                    idle += 1
+        if move is None:
+            return rg.ConvergedPNE(a, len(steps), rg.Trajectory(tuple(init), tuple(steps), a), repeat_seen)
+        if len(steps) == max_steps:
+            return rg.BudgetExhausted(rg.Trajectory(tuple(init), tuple(steps), a), repeat_seen)
+        j, t, u0, u1 = move
+        steps.append(rg.Step(len(steps) + 1, j, a[j - 1], t, u0, u1))
+        a = rg.replace_topic(a, j, t)
+        if a in seen:
+            if rng is None:
+                return rg.RepeatDetected(rg.Trajectory(tuple(init), tuple(steps), a), seen[a])
+            repeat_seen = True
+        else:
+            seen[a] = len(steps)
 
 
 def is_non_decreasing(f, steps=1000, slack=1e-12):

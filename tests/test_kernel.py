@@ -1,14 +1,16 @@
-"""Differential tests of the deviation kernel against the direct definitions.
+"""Differential tests of the deviation kernel and the dynamics against the
+direct definitions.
 
-The naive evaluator reads oracle.rank_probabilities at the deviated
-profile; the kernel must give the same value, Fraction or float, compared
-with ==.
+The naive evaluator, oracle.utility, reads oracle.rank_probabilities at the
+deviated profile. The kernel's utility, handed out through kernel.value,
+must give the same value, Fraction or float, compared with ==; under prp
+and rand the kernel's own int must be that Fraction times the game's scale.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rankgames as rg
 from rankgames.model import profile_state
@@ -25,22 +27,19 @@ MEDIATORS = (
 )
 
 
-def naive_utility(game, a, j):
-    k = a[j - 1]
-    u = game.demand[k - 1] * oracle.rank_probabilities(game, k, a)[j]
-    if game.scheme == rg.ACTION:
-        u = u * game.quality[j - 1][k - 1]
-    return u
-
-
 def assert_kernel_matches(game, a):
     state = profile_state(game, a)
+    scale = state.kernel.scale
     for j in range(1, game.n + 1):
         for t in range(1, game.m + 1):
-            want = naive_utility(game, rg.replace_topic(a, j, t), j)
-            got = state.utility(j, t)
+            want = oracle.utility(game, rg.replace_topic(a, j, t), j)
+            u = state.utility(j, t)
+            got = state.kernel.value(u)
             assert type(got) is type(want)
             assert got == want, (a, j, t)
+            if game.mediator.kind != "scoring":
+                # the int the dynamics compare is the utility times S, exactly
+                assert type(u) is int and u == want * scale, (a, j, t)
 
 
 @st.composite
@@ -102,6 +101,53 @@ def test_responses_match_brute_force(game_and_profile):
         assert rg.better_responses(game, a, j) == brute_better(game, a, j)
         assert rg.best_responses(game, a, j) == brute_best(game, a, j)
     assert rg.is_pne(game, a) == all(not brute_better(game, a, j) for j in range(1, game.n + 1))
+
+
+# ---------- dynamics against the Fraction-only oracle ----------
+
+EXACT = (rg.PRP, rg.RAND)
+
+
+@st.composite
+def exact_games_and_runs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    tie_rich = draw(st.booleans())
+    game = rg.generate_random_game(
+        draw(st.integers(0, 10**6)),
+        n,
+        m,
+        generic_Q=not tie_rich,
+        sorted_D=False,
+        denominator_bound=draw(st.integers(1, 4)) if tie_rich else 60,
+        mediator=draw(st.sampled_from(EXACT)),
+        scheme=draw(st.sampled_from((rg.EXPOSURE, rg.ACTION))),
+    )
+    init = tuple(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
+    sched = draw(st.one_of(
+        st.permutations(range(1, n + 1)).map(lambda p: rg.RoundRobin(tuple(p))),
+        st.just(rg.RoundRobin()),
+        st.just(rg.FirstDeviator()),
+        st.integers(0, 2**16).map(rg.RandomOrder),
+    ))
+    return game, init, sched, draw(st.sampled_from((rg.BETTER, rg.BEST)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_games_and_runs(), st.sampled_from((0.0, 1e-3)))
+def test_dynamics_match_the_fraction_oracle(run, margin):
+    game, init, sched, response = run
+    got = rg.run_dynamics(game, init, sched, 30, response, margin)
+    assert got == oracle.dynamics(game, init, sched, 30, response, margin)
+    for s in got.trajectory.steps:
+        assert type(s.utility_before) is type(s.utility_after) is F
+    for a in got.trajectory.walk():
+        assert rg.is_pne(game, a, margin) == all(
+            not oracle.moves(game, a, j, rg.BETTER, margin) for j in range(1, game.n + 1))
+        for j in range(1, game.n + 1):
+            better = rg.better_responses(game, a, j, margin)
+            assert better == {t: u1 for t, _, u1 in oracle.moves(game, a, j, rg.BETTER, margin)}
+            assert all(type(u) is F for u in better.values())
 
 
 # ---------- the exact comparison ----------

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rankgames as rg
@@ -232,6 +232,51 @@ def assert_matches_the_oracle(D, Q, mediator, scheme):
 @given(game_values().flatmap(spelled), st.sampled_from(GAME_CASES))
 def test_make_game_matches_the_fraction_oracle(data, case):
     assert_matches_the_oracle(*data, *case[:2])
+
+
+def as_pq(x: F) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def pq_with_one_other_spelling(draw):
+    """Valid values, all "p/q" strings but one entry, which is a decimal
+    string, a float or an int."""
+    demand, quality = draw(game_values())
+    D, Q = list(map(as_pq, demand)), [list(map(as_pq, row)) for row in quality]
+    spots = [(row, i, x) for row, xs in ((D, demand), *zip(Q, quality))
+             for i, x in enumerate(xs) if x.denominator == 1 or _decimal(x)]
+    assume(spots)
+    row, i, x = draw(st.sampled_from(spots))
+    others = [x.numerator] if x.denominator == 1 else []
+    if _decimal(x) is not None:
+        others += [_decimal(x), float(_decimal(x))]
+    row[i] = draw(st.sampled_from(others))
+    return D, Q
+
+
+@given(pq_with_one_other_spelling(), st.sampled_from(GAME_CASES))
+def test_a_pq_list_with_one_other_spelling_matches_the_oracle(data, case):
+    assert_matches_the_oracle(*data, *case[:2])
+
+
+# "p/q"-like strings that the one-pass reader of "p/q" lists must leave to
+# as_rational, each in an otherwise all-"p/q" document: some spell 1/2, most
+# are rejected, and the commas would shift every later entry by two
+OFF_THE_BULK_PATH = ["01/2", "1/0", "1/2/3", "/2", "1/", " 1/2", "+1/2", "-1/2", "١/٢",
+                     "1/2,1/3,1/4", "1" * 4301 + "/3", "1/" + "1" * 4301]
+
+
+@pytest.mark.parametrize("where", ["D", "Q"])
+@pytest.mark.parametrize("text", OFF_THE_BULK_PATH,
+                         ids=lambda t: t if len(t) < 20 else f"{len(t)} chars from {t[:2]}")
+def test_make_game_reads_other_pq_strings_as_the_oracle_does(text, where):
+    D, Q = ["1/2", "1/2"], [["1/3", "1/1"], ["0/1", "2/3"]]
+    if where == "D":
+        D[0] = text
+    else:
+        Q[1][0] = text
+    assert_matches_the_oracle(D, Q, rg.PRP, rg.EXPOSURE)
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
