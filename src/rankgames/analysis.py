@@ -63,14 +63,15 @@ class ImprovementGraph(_Record):
     author strictly improves by switching to a'. Mutable, so unhashable."""
 
     __match_args__ = __slots__ = ("game", "n_nodes", "adj", "margin")
-    _defaults = {"margin": 0.0}
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-    game: Game
-    n_nodes: int
-    adj: list[list[int]]
-    margin: float
+
+    def __init__(self, game: Game, n_nodes: int, adj: list[list[int]], margin: float = 0.0):
+        self.game = game
+        self.n_nodes = n_nodes
+        self.adj = adj
+        self.margin = margin
 
     def profile_of(self, i: int) -> Profile:
         return profile_at(i, self.game.n, self.game.m)
@@ -114,28 +115,32 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
     return ImprovementGraph(game, size, adj, margin)
 
 
-def _topological_order(adj: list[list[int]]) -> list[int] | None:
-    """Kahn's algorithm: the nodes in a topological order, or None when the
-    graph has a cycle."""
+def _longest_path(adj: list[list[int]]) -> int | None:
+    """Kahn's algorithm, relaxing each node's successors as it is popped:
+    the edge count of the longest path, or None when the graph has a cycle."""
     n = len(adj)
     indeg = [0] * n
     for out in adj:
         for v in out:
             indeg[v] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
+    stack = [i for i in range(n) if not indeg[i]]
+    depth = [0] * n
+    popped = 0
+    while stack:
+        u = stack.pop()
+        popped += 1
+        d = depth[u] + 1
         for v in adj[u]:
+            if depth[v] < d:
+                depth[v] = d
             indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return order if len(order) == n else None
+            if not indeg[v]:
+                stack.append(v)
+    return max(depth, default=0) if popped == n else None
 
 
 def _is_acyclic(adj: list[list[int]]) -> bool:
-    return _topological_order(adj) is not None
+    return _longest_path(adj) is not None
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -252,18 +257,9 @@ def enumerate_pne(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0)
 
 def longest_improvement_path(graph: ImprovementGraph) -> int:
     """Edge count of the longest directed path; requires an acyclic graph."""
-    adj = graph.adj
-    topo = _topological_order(adj)
-    if topo is None:
+    best = _longest_path(graph.adj)
+    if best is None:
         raise CyclicGraphError("longest path is undefined on a cyclic graph")
-    depth = [0] * len(adj)
-    best = 0
-    for u in topo:
-        for v in adj[u]:
-            if depth[u] + 1 > depth[v]:
-                depth[v] = depth[u] + 1
-                if depth[v] > best:
-                    best = depth[v]
     return best
 
 
@@ -274,17 +270,25 @@ class PotentialWitness(_Record):
     profile of everyone else (entries at the two authors are placeholders)."""
 
     __match_args__ = __slots__ = ("authors", "topics_i", "topics_j", "base")
-    authors: tuple[int, int]
-    topics_i: tuple[int, int]
-    topics_j: tuple[int, int]
-    base: Profile
+
+    def __init__(self, authors: tuple[int, int], topics_i: tuple[int, int],
+                 topics_j: tuple[int, int], base: Profile):
+        _set(self, "authors", authors)
+        _set(self, "topics_i", topics_i)
+        _set(self, "topics_j", topics_j)
+        _set(self, "base", base)
 
 
 class PotentialReport(_Record):
+    """worst_residual is the max |residual| over all 2x2 subgames."""
+
     __match_args__ = __slots__ = ("has_exact_potential", "worst_residual", "witness")
-    has_exact_potential: bool
-    worst_residual: object  # max |residual| over all 2x2 subgames
-    witness: PotentialWitness | None
+
+    def __init__(self, has_exact_potential: bool, worst_residual: object,
+                 witness: PotentialWitness | None):
+        _set(self, "has_exact_potential", has_exact_potential)
+        _set(self, "worst_residual", worst_residual)
+        _set(self, "witness", witness)
 
 
 def potential_residual(game: Game, i: int, j: int, topics_i, topics_j, base) -> object:
@@ -413,9 +417,6 @@ def _by_kind(group: list, blocks: list[int], r0: int, r1: int) -> list:
 
 
 # ---------- path invariants ----------
-
-# The path-invariant records are built once per trajectory, so they have
-# their own __init__ (see _Record).
 
 class PathStatistics(_Record):
     """Per-profile top-quality/top-count tables along a trajectory, with the

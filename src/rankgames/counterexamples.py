@@ -21,12 +21,14 @@ from .model import (
     Mediator,
     Profile,
     ScoreFunction,
+    check_profile,
     check_tolerance,
     game_to_dict,
     improves,
     make_game,
     utility_vector,
     _Record,
+    _set,
 )
 
 # the one cycle all three constructions share: movers 2, 3, 4, 2, 3, 4
@@ -51,9 +53,11 @@ def closed_cycle() -> tuple[Profile, ...]:
 
 class CycleStep(_Record):
     __match_args__ = __slots__ = ("mover", "gain", "ok")
-    mover: int | None
-    gain: object
-    ok: bool
+
+    def __init__(self, mover: int | None, gain: object, ok: bool):
+        _set(self, "mover", mover)
+        _set(self, "gain", gain)
+        _set(self, "ok", ok)
 
 
 class CounterexampleBundle(_Record):
@@ -62,9 +66,11 @@ class CounterexampleBundle(_Record):
     params are a dict."""
 
     __match_args__ = __slots__ = ("game", "cycle", "params")
-    game: Game
-    cycle: tuple[Profile, ...]
-    params: dict
+
+    def __init__(self, game: Game, cycle: tuple[Profile, ...], params: dict):
+        _set(self, "game", game)
+        _set(self, "cycle", cycle)
+        _set(self, "params", params)
 
 
 def bundle_to_dict(b: CounterexampleBundle) -> dict:
@@ -88,14 +94,11 @@ def verify_improvement_cycle(game: Game, profiles, margin: float = VERIFY_MARGIN
     or an unclosed list is malformed and raises.
     """
     check_tolerance(margin)
-    profiles = [tuple(p) for p in profiles]
+    profiles = [check_profile(game, p) for p in profiles]
     if len(profiles) < 2:
         raise ValidationError("a cycle needs at least two profiles")
     if profiles[0] != profiles[-1]:
         raise ValidationError("cycle profile list must end where it starts")
-    for p in profiles:
-        if len(p) != game.n or any(not 1 <= t <= game.m for t in p):
-            raise ValidationError(f"profile {p} does not fit the game")
     steps = []
     ok = True
     for a, b in zip(profiles, profiles[1:]):

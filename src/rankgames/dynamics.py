@@ -49,9 +49,6 @@ BEST = "best"
 
 # ---------- steps and trajectories ----------
 
-# Step, Trajectory, the schedulers and the outcomes are built in the run
-# loops, so they have their own __init__ (see _Record).
-
 class Step(_Record):
     """One improvement step: at step r author `mover` switched from_topic ->
     to_topic, raising her utility from utility_before to utility_after."""
@@ -241,8 +238,8 @@ def run_dynamics(
     check_tolerance(margin)
     if max_steps is None:
         max_steps = default_max_steps(game)
-    if max_steps <= 0:
-        raise ValidationError("max_steps must be positive")
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps <= 0:
+        raise ValidationError(f"max_steps must be a positive int, got {max_steps!r}")
     if response not in (BETTER, BEST):
         raise ValidationError(f"unknown response mode {response!r}")
 

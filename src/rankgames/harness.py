@@ -29,6 +29,7 @@ from .model import (
     mediator_to_dict,
     utility_vector,
     _Record,
+    _set,
 )
 from .dynamics import (
     ConvergedPNE,
@@ -186,51 +187,60 @@ class ExperimentConfig(_Record):
         "seed", "games", "n_range", "m_range", "mediator", "scheme", "checks", "budget",
         "generic_Q", "sorted_D", "denominator_bound",
     )
-    _defaults = {
-        "mediator": PRP, "scheme": EXPOSURE, "checks": frozenset(CHECKS), "budget": DEFAULT_BUDGET,
-        "generic_Q": True, "sorted_D": True, "denominator_bound": 1000,
-    }
-    seed: int
-    games: int
-    n_range: tuple[int, int]
-    m_range: tuple[int, int]
-    mediator: Mediator
-    scheme: str
-    checks: frozenset
-    budget: int
-    generic_Q: bool
-    sorted_D: bool
-    denominator_bound: int
 
-    def __post_init__(self):
-        if self.games < 0:
+    def __init__(self, seed: int, games: int, n_range: tuple[int, int], m_range: tuple[int, int],
+                 mediator: Mediator = PRP, scheme: str = EXPOSURE,
+                 checks: frozenset = frozenset(CHECKS), budget: int = DEFAULT_BUDGET,
+                 generic_Q: bool = True, sorted_D: bool = True, denominator_bound: int = 1000):
+        if games < 0:
             raise ValidationError("games must be nonnegative")
-        for name, (lo, hi) in (("n_range", self.n_range), ("m_range", self.m_range)):
+        for name, (lo, hi) in (("n_range", n_range), ("m_range", m_range)):
             if not 1 <= lo <= hi:
                 raise ValidationError(f"{name} must satisfy 1 <= lo <= hi")
-        unknown = set(self.checks) - set(CHECKS)
+        unknown = set(checks) - set(CHECKS)
         if unknown:
             raise ValidationError(f"unknown checks: {sorted(unknown)}")
-        if self.m_range[1] ** self.n_range[1] > self.budget:
+        if m_range[1] ** n_range[1] > budget:
             raise ValidationError("ranges exceed the enumeration budget")
+        _set(self, "seed", seed)
+        _set(self, "games", games)
+        _set(self, "n_range", n_range)
+        _set(self, "m_range", m_range)
+        _set(self, "mediator", mediator)
+        _set(self, "scheme", scheme)
+        _set(self, "checks", checks)
+        _set(self, "budget", budget)
+        _set(self, "generic_Q", generic_Q)
+        _set(self, "sorted_D", sorted_D)
+        _set(self, "denominator_bound", denominator_bound)
 
 
 def config_from_dict(d) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ValidationError("config must be a JSON object")
+
+    def typed(kind, key, *default):
+        # only JSON integers or booleans: no bool is read as an int, nor 2.9 or "false"
+        value = d.get(key, *default) if default else d[key]
+        for x in value if key.endswith("_range") else (value,):
+            if type(x) is not kind:
+                raise TypeError(f"{key} takes JSON {kind.__name__} values only, got {value!r}")
+        return value
+
     try:
+        n_range, m_range = typed(int, "n_range"), typed(int, "m_range")
         return ExperimentConfig(
-            seed=int(d["seed"]),
-            games=int(d["games"]),
-            n_range=(int(d["n_range"][0]), int(d["n_range"][1])),
-            m_range=(int(d["m_range"][0]), int(d["m_range"][1])),
+            seed=typed(int, "seed"),
+            games=typed(int, "games"),
+            n_range=(n_range[0], n_range[1]),
+            m_range=(m_range[0], m_range[1]),
             mediator=mediator_from_dict(d.get("mediator", {"kind": "prp"})),
             scheme=d.get("scheme", EXPOSURE),
             checks=frozenset(d.get("checks", list(CHECKS))),
-            budget=int(d.get("budget", DEFAULT_BUDGET)),
-            generic_Q=bool(d.get("generic_Q", True)),
-            sorted_D=bool(d.get("sorted_D", True)),
-            denominator_bound=int(d.get("denominator_bound", 1000)),
+            budget=typed(int, "budget", DEFAULT_BUDGET),
+            generic_Q=typed(bool, "generic_Q", True),
+            sorted_D=typed(bool, "sorted_D", True),
+            denominator_bound=typed(int, "denominator_bound", 1000),
         )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad experiment config: {exc!r}") from exc

@@ -142,14 +142,11 @@ _set = object.__setattr__
 class _Record:
     """Base of the package's value records.
 
-    A record lists its fields in __match_args__ and __slots__, the defaults
-    of trailing fields in _defaults, in field order, and its checks in
-    __post_init__. The base gives positional and keyword construction, ==
-    between records of one class, hash and repr over the fields, pickling,
-    and immutability. A mutable record sets __setattr__ and __delattr__
-    back to object's and __hash__ to None. Records built in hot loops write
-    their own __init__, which is faster than both this generic one and a
-    dataclass's.
+    A record lists its fields in __match_args__ and __slots__, and its own
+    __init__ checks the arguments and sets the fields with _set. The base
+    gives == between records of one class, hash and repr over the fields,
+    pickling, and immutability. A mutable record sets __setattr__ and
+    __delattr__ back to object's and __hash__ to None.
 
     Unlike a dataclass, a record generates and compiles no code when its
     class is created, which saves about a millisecond per record type on
@@ -158,37 +155,6 @@ class _Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    _defaults: dict = {}
-    _tail: tuple = ()  # the values of _defaults, in field order
-
-    def __init_subclass__(cls):
-        cls._tail = tuple(cls._defaults.values())
-
-    def __init__(self, *args, **kwargs):
-        names = self.__match_args__
-        short = len(names) - len(args)
-        if short and not kwargs and 0 < short <= len(self._tail):
-            args += self._tail[-short:]
-        elif kwargs or short:
-            name = type(self).__name__
-            if len(args) > len(names):
-                raise TypeError(f"{name}() takes {len(names)} arguments but {len(args)} were given")
-            args = list(args)
-            for field in names[len(args):]:
-                if field in kwargs:
-                    args.append(kwargs.pop(field))
-                elif field in self._defaults:
-                    args.append(self._defaults[field])
-                else:
-                    raise TypeError(f"{name}() missing argument {field!r}")
-            for field in kwargs:
-                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
-        for field, value in zip(names, args):
-            _set(self, field, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
 
     def _values(self) -> tuple:
         return tuple(getattr(self, field) for field in self.__match_args__)
@@ -231,23 +197,22 @@ class ScoreFunction(_Record):
     """
 
     __match_args__ = __slots__ = ("kind", "param")
-    _defaults = {"param": None}
-    kind: str
-    param: float | None
 
-    def __post_init__(self):
-        if self.kind not in _SCORE_KINDS:
-            raise ValidationError(f"unknown score function kind {self.kind!r}")
+    def __init__(self, kind: str, param: float | None = None):
+        if kind not in _SCORE_KINDS:
+            raise ValidationError(f"unknown score function kind {kind!r}")
         # the chained comparisons also reject NaN and infinities
-        if self.kind == "power":
-            if self.param is None or not 0 < self.param < math.inf:
+        if kind == "power":
+            if param is None or not 0 < param < math.inf:
                 raise ValidationError("power score function needs a finite param > 0")
-        elif self.kind == "exponential":
-            if self.param is None or not 0 <= self.param <= _EXP_PARAM_MAX:
+        elif kind == "exponential":
+            if param is None or not 0 <= param <= _EXP_PARAM_MAX:
                 raise ValidationError(
                     f"exponential score function needs a param in [0, {_EXP_PARAM_MAX:.2f}]")
-        elif self.param is not None:
-            raise ValidationError(f"{self.kind} score function takes no param")
+        elif param is not None:
+            raise ValidationError(f"{kind} score function takes no param")
+        _set(self, "kind", kind)
+        _set(self, "param", param)
 
     def __call__(self, x: float) -> float:
         if self.kind == "constant":
@@ -288,17 +253,16 @@ class Mediator(_Record):
     over writers), or "scoring" (probability proportional to f(quality))."""
 
     __match_args__ = __slots__ = ("kind", "f")
-    _defaults = {"f": None}
-    kind: str
-    f: ScoreFunction | None
 
-    def __post_init__(self):
-        if self.kind not in ("prp", "rand", "scoring"):
-            raise ValidationError(f"unknown mediator kind {self.kind!r}")
-        if self.kind == "scoring" and self.f is None:
+    def __init__(self, kind: str, f: ScoreFunction | None = None):
+        if kind not in ("prp", "rand", "scoring"):
+            raise ValidationError(f"unknown mediator kind {kind!r}")
+        if kind == "scoring" and f is None:
             raise ValidationError("scoring mediator needs a score function")
-        if self.kind != "scoring" and self.f is not None:
-            raise ValidationError(f"{self.kind} mediator carries no score function")
+        if kind != "scoring" and f is not None:
+            raise ValidationError(f"{kind} mediator carries no score function")
+        _set(self, "kind", kind)
+        _set(self, "f", f)
 
     @classmethod
     def scoring(cls, f: ScoreFunction) -> "Mediator":
@@ -335,38 +299,35 @@ class Game(_Record):
         "demand_den", "demand_num", "quality_den", "quality_num", "mediator", "scheme"
     )
     __slots__ = __match_args__ + ("_cache", "n", "m")
-    demand_den: int
-    demand_num: tuple[int, ...]
-    quality_den: tuple[int, ...]
-    quality_num: tuple[tuple[int, ...], ...]
-    mediator: Mediator
-    scheme: str
     n: int  # the number of authors
     m: int  # the number of topics
 
-    def __post_init__(self):
-        m, cols = len(self.demand_num), self.quality_num
+    def __init__(self, demand_den: int, demand_num: tuple[int, ...], quality_den: tuple[int, ...],
+                 quality_num: tuple[tuple[int, ...], ...], mediator: Mediator, scheme: str):
+        m, cols = len(demand_num), quality_num
         n = len(cols[0]) if cols else 0
         if n < 1 or m < 1:
             raise ValidationError("need at least one author and one topic")
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"unknown utility scheme {self.scheme!r}")
-        if len(self.quality_den) != m or len(cols) != m or any(len(col) != n for col in cols):
+        if scheme not in SCHEMES:
+            raise ValidationError(f"unknown utility scheme {scheme!r}")
+        if len(quality_den) != m or len(cols) != m or any(len(col) != n for col in cols):
             raise ValidationError("quality matrix must be n x m")
-        if self.demand_den < 1 or min(self.quality_den) < 1:
+        if demand_den < 1 or min(quality_den) < 1:
             raise ValidationError("denominators must be positive")
-        if min(self.demand_num) < 0:
+        if min(demand_num) < 0:
             raise ValidationError("demand weights must be nonnegative")
-        if sum(self.demand_num) != self.demand_den:
+        if sum(demand_num) != demand_den:
             raise ValidationError("demand weights must sum to exactly 1")
-        if any(min(col) < 0 or max(col) > den for den, col in zip(self.quality_den, cols)):
+        if any(min(col) < 0 or max(col) > den for den, col in zip(quality_den, cols)):
             raise ValidationError("quality entries must lie in [0, 1]")
-        d_den, d_num = _lowest_terms(self.demand_den, self.demand_num)
-        q_den, q_num = zip(*map(_lowest_terms, self.quality_den, cols))
+        d_den, d_num = _lowest_terms(demand_den, demand_num)
+        q_den, q_num = zip(*map(_lowest_terms, quality_den, cols))
         _set(self, "demand_den", d_den)
         _set(self, "demand_num", d_num)
         _set(self, "quality_den", q_den)
         _set(self, "quality_num", q_num)
+        _set(self, "mediator", mediator)
+        _set(self, "scheme", scheme)
         _set(self, "n", n)
         _set(self, "m", m)
         _set(self, "_cache", {})

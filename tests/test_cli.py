@@ -206,7 +206,11 @@ def test_suite_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     for text in ('{"seed": 1}',
                  '{"seed": "abc", "games": 3, "n_range": [2, 2], "m_range": [2, 2]}',
-                 '{"seed": 1, "games": Infinity, "n_range": [2, 2], "m_range": [2, 2]}'):
+                 '{"seed": 1, "games": Infinity, "n_range": [2, 2], "m_range": [2, 2]}',
+                 '{"seed": 1, "games": 2.9, "n_range": [2, 2], "m_range": [2, 2]}',
+                 '{"seed": 1, "games": 3, "n_range": [2.5, 3], "m_range": [2, 2]}',
+                 '{"seed": true, "games": 3, "n_range": [2, 2], "m_range": [2, 2]}',
+                 '{"seed": 1, "games": 3, "n_range": [2, 2], "m_range": [2, 2], "generic_Q": "false"}'):
         path.write_text(text)
         assert main(["suite", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad experiment config")

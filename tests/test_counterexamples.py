@@ -27,6 +27,17 @@ def test_verify_rejects_open_walk(exposure_example):
         rg.verify_improvement_cycle(exposure_example, [(1, 1), (2, 1)])
 
 
+@pytest.mark.parametrize("profiles", [
+    [("a", 1), ("a", 1)],
+    [(1, 4), (1, 4)],
+    [(1, True), (1, True)],
+    [(1, 1, 1), (1, 1, 1)],
+])
+def test_verify_rejects_profiles_that_do_not_fit(exposure_example, profiles):
+    with pytest.raises(ValidationError):
+        rg.verify_improvement_cycle(exposure_example, profiles)
+
+
 def test_verify_rejects_multi_author_step(exposure_example):
     with pytest.raises(ValidationError):
         rg.verify_improvement_cycle(exposure_example, [(1, 1), (2, 2), (1, 1)])

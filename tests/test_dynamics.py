@@ -124,8 +124,10 @@ def test_budget_exhaustion():
 
 
 def test_max_steps_validation(exposure_example):
-    with pytest.raises(ValidationError):
-        rg.run_dynamics(exposure_example, (2, 2), rg.RoundRobin(), max_steps=0)
+    # len(steps) never equals a budget of 1.5, and a bool is no step count
+    for max_steps in (0, -1, 1.5, 2.0, True, "3"):
+        with pytest.raises(ValidationError):
+            rg.run_dynamics(exposure_example, (2, 2), rg.FirstDeviator(), max_steps=max_steps)
 
 
 def test_default_max_steps(exposure_example):

@@ -138,6 +138,16 @@ def test_config_validation():
         config_from_dict({"seed": "abc", "games": 3, "n_range": [2, 2], "m_range": [2, 2]})
     with pytest.raises(ValidationError):
         config_from_dict({"seed": 1, "games": float("inf"), "n_range": [2, 2], "m_range": [2, 2]})
+    # only JSON integers (no booleans) and JSON booleans are read
+    good = {"seed": 1, "games": 3, "n_range": [2, 3], "m_range": [2, 3]}
+    for change in (
+        {"games": 2.9}, {"games": True}, {"seed": True}, {"seed": 1.0}, {"seed": "1"},
+        {"n_range": [2.5, 3]}, {"m_range": [2, 3.0]}, {"n_range": [True, 2]}, {"n_range": 2},
+        {"budget": 1e6}, {"denominator_bound": False},
+        {"generic_Q": "false"}, {"sorted_D": 0}, {"generic_Q": None},
+    ):
+        with pytest.raises(ValidationError, match="^bad experiment config"):
+            config_from_dict({**good, **change})
 
 
 def test_suite_runs_and_is_deterministic(tmp_path):

@@ -118,6 +118,15 @@ def test_record_contract(cls, values, fields, defaults, text, hashable, frozen):
             # a fresh container per instance
             assert getattr(bare, f) is not getattr(cls(*required), f)
 
+    # Python's own argument binding: no unknown keyword, missing or extra argument
+    with pytest.raises(TypeError):
+        cls(*values, unknown=1)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*required[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, *(defaults[f] for f in fields[len(values):]), None)
+
     assert repr(x) == text
     assert x == cls(*values)
     assert not (x != cls(*values))
