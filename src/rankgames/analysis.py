@@ -46,6 +46,8 @@ from .model import (
 )
 from .dynamics import Trajectory
 
+_ZERO = Fraction(0)
+
 
 def _check_budget(game: Game, budget: int):
     if budget < 1:
@@ -337,7 +339,7 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     n, m = game.n, game.m
     exact = game.mediator.kind != "scoring"
     if n < 2 or m < 2:  # no 2x2 subgame
-        return PotentialReport(True, Fraction(0) if exact else 0.0, None)
+        return PotentialReport(True, _ZERO if exact else 0.0, None)
     cols, scale = _utility_columns(game)
     worst, witness = _scan_vectors(cols, n, m)
     if exact:
@@ -479,7 +481,7 @@ def path_invariant_report(game: Game, t: Trajectory) -> PathInvariantReport:
     qkey = states[0].kernel.qkey
     # per topic: top quality key -> quality; an empty topic's key -1 reads as 0
     quality_of = [
-        dict(zip((-1, *keys), (Fraction(0), *qs)))
+        dict(zip((-1, *keys), (_ZERO, *qs)))
         for keys, qs in zip(zip(*qkey), zip(*game.quality))
     ]
     h_rows = tuple(tuple(s.ties) for s in states)
@@ -532,8 +534,11 @@ def _replay(game: Game, t: Trajectory) -> list[ProfileState]:
         u1 = before.utility(s.mover, s.to_topic)
         if not u1 > u0:
             raise TrajectoryError(f"step {s.index}: not a strict improvement in this game")
-        value = before.kernel.value
-        if s.utility_before != value(u0) or s.utility_after != value(u1):
+        # kernel.value hands out one Fraction per utility, which run_dynamics
+        # recorded, so identity decides most comparisons
+        x0, x1 = before.kernel.value(u0), before.kernel.value(u1)
+        if not ((s.utility_before is x0 or s.utility_before == x0)
+                and (s.utility_after is x1 or s.utility_after == x1)):
             raise TrajectoryError(f"step {s.index}: recorded utilities do not match the game")
         # the profile after a step is built only once the step has passed
         states.append(profile_state(game, next(walk)))

@@ -7,11 +7,14 @@ budget runs out. Deterministic schedulers pick the improving topic of lowest
 index; the seeded random scheduler picks uniformly among improving moves.
 
 Responses are evaluated with the deviation kernel (model.profile_state). A
-run builds one ProfileState per visited profile, in O(n + m), and every
-author visit at that profile reads its m deviations from it: O(1) each under
-prp and rand, O(writers on the target topic) under scoring. Utility vectors
-of visited profiles are not memoized; only the all-starts pass, which visits
-every profile anyway, keeps each profile's state and moves.
+run builds one ProfileState, for its initial profile, and moves it with each
+step (ProfileState.move), updating only the two topics the step touches.
+Every author visit reads its m deviations through the run's memo (_RunMemo):
+one column of utilities per topic, which a move from s to t drops for s and
+t only, so a scheduler that reads all n*(m-1) deviations at every step
+re-evaluates O(n) of them. A deviation costs O(1) under prp and rand and
+O(writers on the target topic) under scoring. The all-starts pass, which visits every profile anyway, keeps one
+state and the moves per profile instead.
 
 Under prp and rand the kernel's utilities are ints over the game's scale S,
 so at margin 0 a move improves when one int exceeds another. At a margin
@@ -214,6 +217,39 @@ def _move_for(state: ProfileState, j: int, response: str, margin: float):
 
 # ---------- the run loop ----------
 
+class _RunMemo:
+    """A run's one kernel state, moved with the run, and the utilities it
+    has given: cols[t-1][j] is state.utility(j, t), or None until asked for.
+
+    An entry depends only on the writers of topic t besides author j, so a
+    move from s to t drops the columns of s and t and keeps every other
+    entry, the mover's own included. Reads go through utility(j, t), a and
+    kernel, as on a ProfileState.
+    """
+
+    __slots__ = ("state", "kernel", "a", "cols")
+
+    def __init__(self, state: ProfileState):
+        self.state = state
+        self.kernel = state.kernel
+        self.a = state.a
+        self.cols = [[None] * (len(state.a) + 1) for _ in state.kernel.topics]
+
+    def utility(self, j: int, t: int):
+        col = self.cols[t - 1]
+        u = col[j]
+        if u is None:
+            u = col[j] = self.state.utility(j, t)
+        return u
+
+    def move(self, j: int, t: int):
+        fresh = [None] * (len(self.a) + 1)
+        self.cols[self.a[j - 1] - 1] = fresh
+        self.cols[t - 1] = fresh[:]
+        self.state.move(j, t)
+        self.a = self.state.a
+
+
 def default_max_steps(game: Game) -> int:
     # a repeat-free path cannot visit more than m^n profiles; the budget
     # caps that bound so that a cycling run on a large game ends in time
@@ -249,8 +285,11 @@ def run_dynamics(
             raise ValidationError("round-robin order must be a permutation of the authors")
     elif not isinstance(sched, (FirstDeviator, RandomOrder)):
         raise ValidationError(f"unknown scheduler {sched!r}")
+    first = isinstance(sched, FirstDeviator)
     deterministic = not isinstance(sched, RandomOrder)
-    rng = random.Random(sched.seed) if isinstance(sched, RandomOrder) else None
+    rng = None if deterministic else random.Random(sched.seed)
+    n = game.n
+    authors = range(1, n + 1)
 
     init = a
     steps: list[Step] = []
@@ -258,21 +297,22 @@ def run_dynamics(
     repeat_seen = False
     ptr = 0  # round-robin position
     idle = 0  # consecutive round-robin visits without a move
+    state = _RunMemo(profile_state(game, a))
+    value = state.kernel.value
 
     while True:
-        # pick the mover and her move; one state serves every visit at a
-        state = profile_state(game, a)
+        # pick the mover and her move
         move = None
-        if isinstance(sched, FirstDeviator):
-            for j in range(1, game.n + 1):
+        if first:
+            for j in authors:
                 got = _move_for(state, j, response, margin)
                 if got is not None:
                     move = (j, *got)
                     break
-        elif isinstance(sched, RoundRobin):
-            while idle < game.n:
+        elif deterministic:
+            while idle < n:
                 j = order[ptr]
-                ptr = (ptr + 1) % game.n
+                ptr = (ptr + 1) % n
                 got = _move_for(state, j, response, margin)
                 if got is not None:
                     move = (j, *got)
@@ -281,7 +321,7 @@ def run_dynamics(
                 idle += 1
         else:
             candidates = []
-            for j in range(1, game.n + 1):
+            for j in authors:
                 if response == BETTER:
                     candidates.extend((j, *mv) for mv in _improving_moves(state, j, margin))
                 else:
@@ -298,10 +338,9 @@ def run_dynamics(
             return BudgetExhausted(Trajectory(init, tuple(steps), a), repeat_seen)
 
         j, t, u0, u1 = move
-        a2 = replace_topic(a, j, t)
-        value = state.kernel.value
         steps.append(Step(len(steps) + 1, j, a[j - 1], t, value(u0), value(u1)))
-        a = a2
+        state.move(j, t)
+        a = state.a
         if a in seen:
             if deterministic:
                 # the closed walk between the two visits contains an improvement cycle

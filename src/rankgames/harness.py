@@ -200,7 +200,11 @@ class ExperimentConfig(_Record):
         unknown = set(checks) - set(CHECKS)
         if unknown:
             raise ValidationError(f"unknown checks: {sorted(unknown)}")
-        if m_range[1] ** n_range[1] > budget:
+        if not isinstance(budget, int):
+            raise ValidationError(f"budget must be an int, got {budget!r}")
+        # for m >= 2, m^n exceeds the budget once n exceeds its bit length,
+        # so a larger n is not raised to its power
+        if m_range[1] ** min(n_range[1], budget.bit_length() + 1) > budget:
             raise ValidationError("ranges exceed the enumeration budget")
         _set(self, "seed", seed)
         _set(self, "games", games)

@@ -13,11 +13,13 @@ score function in floating point; everything else stays rational.
 Every utility is computed by one deviation kernel: a ProfileState holds the
 per-topic aggregates of a profile, from which any author's utility after a
 single-topic move follows in O(1) under prp and rand and in O(writers on the
-target topic) under scoring. Under prp and rand its utilities are ints
-over one per-game scale S, compared as ints; Fractions are built only where
-the API hands a utility out. The exhaustive analyses read every profile's
-utilities from one column store per game, built from the kernel's
-aggregates once they have checked the enumeration budget.
+target topic) under scoring. move(j, t) follows a run from profile to
+profile, updating the aggregates of the two topics a move touches in place.
+Under prp and rand its utilities are ints over one per-game scale S,
+compared as ints; Fractions are built only where the API hands a utility
+out. The exhaustive analyses read every profile's utilities from one
+column store per game, built from the kernel's aggregates once they have
+checked the enumeration budget.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import math
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import floordiv, mul, or_
@@ -489,7 +491,9 @@ class ProfileState:
 
     utility(j, t) is author j's utility at a with her topic replaced by t;
     t == a_j gives her utility at a itself, in kernel units (_Kernel.value).
-    Build one per profile and ask it about every deviation from that profile.
+    Build one per profile and ask it about every deviation from that
+    profile, or follow a run with move(j, t), which updates the aggregates
+    of the two topics the move touches in place.
     """
 
     __slots__ = ("kernel", "a")
@@ -499,6 +503,10 @@ class ProfileState:
         self.a = a
 
     def utility(self, j: int, t: int):
+        raise NotImplementedError
+
+    def move(self, j: int, t: int):
+        """Author j switches from a_j to topic t != a_j."""
         raise NotImplementedError
 
 
@@ -536,6 +544,25 @@ class _TopRankState(ProfileState):
             h = 0
         return self.kernel.share(j, t, h) if h else 0
 
+    def move(self, j, t):
+        qkey, s = self.kernel.qkey, self.a[j - 1]
+        self.a = replace_topic(self.a, j, t)
+        q = qkey[j - 1]
+        top, ties = self.top, self.ties
+        if q[s - 1] == top[s - 1]:
+            if ties[s - 1] > 1:
+                ties[s - 1] -= 1
+            else:
+                # the mover was the lone top writer: rescan the writers left
+                keys = [qkey[k][s - 1] for k, x in enumerate(self.a) if x == s]
+                top[s - 1] = max(keys, default=-1)
+                ties[s - 1] = keys.count(top[s - 1])
+        r = q[t - 1]
+        if r > top[t - 1]:
+            top[t - 1], ties[t - 1] = r, 1
+        elif r == top[t - 1]:
+            ties[t - 1] += 1
+
 
 class _UniformState(ProfileState):
     # per topic: the number of writers
@@ -551,10 +578,16 @@ class _UniformState(ProfileState):
     def utility(self, j, t):
         return self.kernel.share(j, t, self.count[t - 1] + (self.a[j - 1] != t))
 
+    def move(self, j, t):
+        self.count[self.a[j - 1] - 1] -= 1
+        self.count[t - 1] += 1
+        self.a = replace_topic(self.a, j, t)
+
 
 class _ScoringState(ProfileState):
-    # per topic: its writers as 0-based author indices, ascending
-    __slots__ = ("writers",)
+    # per topic: its writers as 0-based author indices, ascending, and their
+    # score total in that order, or None until a writer's utility asks for it
+    __slots__ = ("writers", "totals")
 
     def __init__(self, kernel, a):
         super().__init__(kernel, a)
@@ -562,6 +595,7 @@ class _ScoringState(ProfileState):
         for j, t in enumerate(a):
             ws[t - 1].append(j)
         self.writers = ws
+        self.totals = [None] * kernel.m
 
     def utility(self, j, t):
         # the score total in author order, score / total (1 / writers on a
@@ -569,16 +603,27 @@ class _ScoringState(ProfileState):
         # float formula, so the result is bit-identical to it
         k = self.kernel
         ws = self.writers[t - 1]
-        if self.a[j - 1] != t:
+        col = k.score_cols[t - 1]
+        if self.a[j - 1] == t:
+            total = self.totals[t - 1]
+            if total is None:
+                total = self.totals[t - 1] = sum(map(col.__getitem__, ws))
+        else:
             i = bisect_left(ws, j - 1)
             ws = ws[:i] + [j - 1] + ws[i:]
-        col = k.score_cols[t - 1]
-        total = sum(map(col.__getitem__, ws))
+            total = sum(map(col.__getitem__, ws))
         r = 1.0 / len(ws) if total == 0 else col[j - 1] / total
         u = k.demand_f[t - 1] * r
         if k.action:
             u = u * k.quality_f[j - 1][t - 1]
         return u
+
+    def move(self, j, t):
+        s, ws = self.a[j - 1], self.writers
+        del ws[s - 1][bisect_left(ws[s - 1], j - 1)]
+        insort(ws[t - 1], j - 1)
+        self.totals[s - 1] = self.totals[t - 1] = None
+        self.a = replace_topic(self.a, j, t)
 
 
 def profile_state(game: Game, a: Profile) -> ProfileState:

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -129,6 +130,13 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         config_from_dict({"seed": 1, "games": 3, "n_range": [2, 30],
                           "m_range": [2, 10], "budget": 1000})
+    # the budget check does not build 3^(10^7) first
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="ranges exceed the enumeration budget"):
+        config_from_dict({"seed": 1, "games": 0, "n_range": [1, 10**7], "m_range": [3, 3]})
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValidationError, match="budget must be an int"):
+        rg.ExperimentConfig(seed=1, games=0, n_range=(2, 2), m_range=(2, 2), budget=1e6)
     with pytest.raises(ValidationError):
         config_from_dict({"games": 3, "n_range": [2, 2], "m_range": [2, 2]})
     with pytest.raises(ValidationError):
@@ -148,6 +156,20 @@ def test_config_validation():
     ):
         with pytest.raises(ValidationError, match="^bad experiment config"):
             config_from_dict({**good, **change})
+
+
+def test_budget_check_is_the_power_test():
+    for m in (1, 2, 3, 7):
+        for n in (1, 2, 5, 9, 10, 11, 40):
+            for budget in (-1, 0, 1, 2, 3**9, 2**10 - 1, 2**10, 7**9, 10**6):
+                try:
+                    rg.ExperimentConfig(seed=0, games=0, n_range=(1, n), m_range=(1, m),
+                                        budget=budget)
+                except ValidationError:
+                    raised = True
+                else:
+                    raised = False
+                assert raised == (m**n > budget), (m, n, budget)
 
 
 def test_suite_runs_and_is_deterministic(tmp_path):

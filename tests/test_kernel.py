@@ -77,6 +77,42 @@ def test_kernel_matches_on_every_profile_of_a_tie_rich_game():
                 assert_kernel_matches(game, a)
 
 
+# ---------- a moved state against a fresh one ----------
+
+def assert_moves_match_fresh_states(game, a, moves):
+    state = profile_state(game, a)
+    for j, t in moves:
+        if t == state.a[j - 1]:
+            continue
+        state.move(j, t)
+        a = rg.replace_topic(a, j, t)
+        assert state.a == a
+        fresh = profile_state(game, a)
+        for k in range(1, game.n + 1):
+            for u in range(1, game.m + 1):
+                got, want = state.utility(k, u), fresh.utility(k, u)
+                assert type(got) is type(want) and got == want, (a, k, u)
+
+
+@given(games_and_profiles(), st.data())
+def test_a_moved_state_matches_a_fresh_one(game_and_profile, data):
+    game, a = game_and_profile
+    moves = data.draw(st.lists(
+        st.tuples(st.integers(1, game.n), st.integers(1, game.m)), max_size=12))
+    assert_moves_match_fresh_states(game, a, moves)
+
+
+def test_a_lone_top_writer_leaving_rescans_its_topic():
+    # author 1 alone tops topic 1; after she leaves, authors 2 and 3 tie at
+    # the top, then author 2 leaves and author 3 tops it alone, then no one
+    quality = (("1", "1/2"), ("1/2", "1/2"), ("1/2", "1/4"), ("1/4", "1"))
+    for med in (rg.PRP, rg.RAND, MEDIATORS[3]):
+        for scheme in (rg.EXPOSURE, rg.ACTION):
+            game = rg.make_game(("1/2", "1/2"), quality, med, scheme)
+            assert_moves_match_fresh_states(
+                game, (1, 1, 1, 1), [(1, 2), (4, 2), (2, 2), (3, 2), (1, 1), (1, 2)])
+
+
 # ---------- responses against brute force via utility() ----------
 
 def brute_better(game, a, j):
@@ -103,14 +139,14 @@ def test_responses_match_brute_force(game_and_profile):
     assert rg.is_pne(game, a) == all(not brute_better(game, a, j) for j in range(1, game.n + 1))
 
 
-# ---------- dynamics against the Fraction-only oracle ----------
+# ---------- dynamics against the oracle ----------
 
 EXACT = (rg.PRP, rg.RAND)
 
 
 @st.composite
-def exact_games_and_runs(draw):
-    n = draw(st.integers(1, 4))
+def games_and_runs(draw, mediators=EXACT, max_n=4):
+    n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, 4))
     tie_rich = draw(st.booleans())
     game = rg.generate_random_game(
@@ -120,7 +156,7 @@ def exact_games_and_runs(draw):
         generic_Q=not tie_rich,
         sorted_D=False,
         denominator_bound=draw(st.integers(1, 4)) if tie_rich else 60,
-        mediator=draw(st.sampled_from(EXACT)),
+        mediator=draw(st.sampled_from(mediators)),
         scheme=draw(st.sampled_from((rg.EXPOSURE, rg.ACTION))),
     )
     init = tuple(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
@@ -134,7 +170,7 @@ def exact_games_and_runs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(exact_games_and_runs(), st.sampled_from((0.0, 1e-3)))
+@given(games_and_runs(), st.sampled_from((0.0, 1e-3)))
 def test_dynamics_match_the_fraction_oracle(run, margin):
     game, init, sched, response = run
     got = rg.run_dynamics(game, init, sched, 30, response, margin)
@@ -148,6 +184,18 @@ def test_dynamics_match_the_fraction_oracle(run, margin):
             better = rg.better_responses(game, a, j, margin)
             assert better == {t: u1 for t, _, u1 in oracle.moves(game, a, j, rg.BETTER, margin)}
             assert all(type(u) is F for u in better.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(games_and_runs(MEDIATORS[2:], max_n=6), st.sampled_from((0.0, 1e-3)))
+def test_dynamics_match_the_float_oracle_under_scoring(run, margin):
+    # floats compared with ==: the run's utilities are the direct formula's,
+    # bit for bit, however long a memoised utility outlives the moves
+    game, init, sched, response = run
+    got = rg.run_dynamics(game, init, sched, 30, response, margin)
+    assert got == oracle.dynamics(game, init, sched, 30, response, margin)
+    for s in got.trajectory.steps:
+        assert type(s.utility_before) is type(s.utility_after) is float
 
 
 # ---------- the exact comparison ----------
