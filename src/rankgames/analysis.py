@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, cycle, islice, repeat
-from operator import add, and_, lt, sub
+from operator import add, and_, getitem, lt, sub
 
 from .errors import (
     BudgetExceededError,
@@ -30,7 +30,6 @@ from .model import (
     EXPOSURE,
     Game,
     Profile,
-    ProfileState,
     check_tolerance,
     format_number,
     improves,
@@ -40,6 +39,7 @@ from .model import (
     profile_state,
     replace_topic,
     utility_vector,
+    _Kernel,
     _Record,
     _set,
     _utility_columns,
@@ -472,79 +472,84 @@ def path_invariant_report(game: Game, t: Trajectory) -> PathInvariantReport:
     pre-step top quality, and whenever it does not strictly exceed it, the
     post-step utility must obey demand(k)/(min top count + 1), times the path
     maximum of k's top quality under the action scheme.
-    Everything is read from the visited profiles' kernel states; their top
-    quality keys become qualities only in the statistics.
+    Everything is read from one kernel state, moved along the trajectory:
+    each visited profile's top quality keys and tie counts, and each mover's
+    post-step utility as an int over the game's scale. The caps are compared
+    with that int by cross-multiplying, and the top quality keys become
+    qualities only in the statistics.
     """
     if game.mediator.kind != "prp":
         raise PreconditionError("path invariants apply to top-rank (prp) mediated games")
-    states = _replay(game, t)
-    qkey = states[0].kernel.qkey
-    # per topic: top quality key -> quality; an empty topic's key -1 reads as 0
-    quality_of = [
-        dict(zip((-1, *keys), (_ZERO, *qs)))
-        for keys, qs in zip(zip(*qkey), zip(*game.quality))
-    ]
-    h_rows = tuple(tuple(s.ties) for s in states)
+    kernel, tops, ties, afters = _replay(game, t)
+    quality_of = kernel.top_qualities()
+    h_rows = tuple(ties)
     min_h = tuple(map(min, zip(*h_rows)))
-    max_key = [max(col) for col in zip(*(s.top for s in states))]
+    max_key = [max(col) for col in zip(*tops)]
     stats = PathStatistics(
-        tuple(tuple(q[b] for q, b in zip(quality_of, s.top)) for s in states),
+        tuple(tuple(map(getitem, quality_of, top)) for top in tops),
         h_rows,
         min_h,
-        tuple(q[b] for q, b in zip(quality_of, max_key)),
+        tuple(map(getitem, quality_of, max_key)),
     )
 
     checks = []
     for r, s in enumerate(t.steps):
         k = s.to_topic - 1
-        key = qkey[s.mover - 1][k]
+        key = kernel.qkey[s.mover - 1][k]
         # quality 0 has key 0, so an empty topic (key -1) compares as quality 0
-        top = max(states[r].top[k], 0)
+        top = max(tops[r][k], 0)
         if key > top:
             bound = "n/a"
         else:
-            cap = game.demand[k] / (min_h[k] + 1)
+            # u/S <= D_k/(min h + 1) [* key/Q_k], both sides times the
+            # denominators; the mover is on k, so its path top key is >= 0
+            cap = kernel.demand_num[k] * kernel.scale
+            den = kernel.demand_den * (min_h[k] + 1)
             if game.scheme == ACTION:
-                cap = cap * stats.max_top_quality[k]
-            # prp utilities are exact rationals, so the comparison is exact
-            after = states[r + 1]
-            u_after = after.kernel.value(after.utility(s.mover, s.to_topic))
-            bound = "pass" if u_after <= cap else "fail"
+                cap *= max_key[k]
+                den *= kernel.quality_den[k]
+            bound = "pass" if afters[r] * den <= cap else "fail"
         checks.append(StepCheck(s.index, key >= top, bound))
     return PathInvariantReport(stats, tuple(checks))
 
 
-def _replay(game: Game, t: Trajectory) -> list[ProfileState]:
-    """Validate a trajectory against the game and return the kernel state of
-    each visited profile, initial to terminal."""
-    walk = t.walk()
-    a = next(walk)
+def _replay(game: Game, t: Trajectory) -> tuple[_Kernel, list, list, list[int]]:
+    """Validate a top-rank trajectory against the game, moving one kernel
+    state along it. Returns the kernel, each visited profile's per-topic top
+    quality keys and tie counts as tuples, initial to terminal, and each
+    step's post-step mover utility in kernel units."""
+    a = tuple(t.initial)
     if len(a) != game.n or any(type(x) is not int or not 1 <= x <= game.m for x in a):
         raise TrajectoryError("initial profile does not fit the game")
-    states = [profile_state(game, a)]
+    state = profile_state(game, a)
+    value = state.kernel.value
+    tops, ties, afters = [tuple(state.top)], [tuple(state.ties)], []
     for s in t.steps:
-        before = states[-1]
         if type(s.mover) is not int or not 1 <= s.mover <= game.n:
             raise TrajectoryError(f"step {s.index}: invalid mover {s.mover}")
-        if before.a[s.mover - 1] != s.from_topic:
+        if state.a[s.mover - 1] != s.from_topic:
             raise TrajectoryError(f"step {s.index}: from_topic does not match the profile")
         if type(s.to_topic) is not int or not 1 <= s.to_topic <= game.m:
             raise TrajectoryError(f"step {s.index}: invalid topic {s.to_topic}")
-        u0 = before.utility(s.mover, s.from_topic)
-        u1 = before.utility(s.mover, s.to_topic)
+        u0 = state.utility(s.mover, s.from_topic)
+        u1 = state.utility(s.mover, s.to_topic)
         if not u1 > u0:
             raise TrajectoryError(f"step {s.index}: not a strict improvement in this game")
         # kernel.value hands out one Fraction per utility, which run_dynamics
         # recorded, so identity decides most comparisons
-        x0, x1 = before.kernel.value(u0), before.kernel.value(u1)
+        x0, x1 = value(u0), value(u1)
         if not ((s.utility_before is x0 or s.utility_before == x0)
                 and (s.utility_after is x1 or s.utility_after == x1)):
             raise TrajectoryError(f"step {s.index}: recorded utilities do not match the game")
-        # the profile after a step is built only once the step has passed
-        states.append(profile_state(game, next(walk)))
-    if states[-1].a != tuple(t.terminal):
+        # the state moves only once the step has passed; the mover's
+        # deviation utility u1 is her utility at the profile after it
+        state.move(s.mover, s.to_topic)
+        tops.append(tuple(state.top))
+        ties.append(tuple(state.ties))
+        afters.append(u1)
+    if state.a != tuple(t.terminal):
         raise TrajectoryError("terminal profile does not match the replayed steps")
-    return states
+    return state.kernel, tops, ties, afters
 
 
 # ---------- uniform-mediator reduction ----------

@@ -42,7 +42,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer beyond the int conversion digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -353,7 +353,10 @@ def build_band_cycle_game(
                 f"score function leaves the band [alpha*x, beta*x] at x = {x}"
             )
     z = Fraction(beta) / Fraction(alpha)
-    zf = float(z)
+    try:
+        zf = float(z)
+    except OverflowError:
+        raise PreconditionError(f"beta/alpha = {beta!r}/{alpha!r} exceeds the float range") from None
     f1 = f(x1)
     x2 = _solve_monotone(f, f1 / (5 * zf), 0.0, x1)
     x3 = _solve_monotone(f, f1 / (11 * zf), 0.0, x2)

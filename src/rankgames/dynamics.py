@@ -9,12 +9,16 @@ index; the seeded random scheduler picks uniformly among improving moves.
 Responses are evaluated with the deviation kernel (model.profile_state). A
 run builds one ProfileState, for its initial profile, and moves it with each
 step (ProfileState.move), updating only the two topics the step touches.
-Every author visit reads its m deviations through the run's memo (_RunMemo):
-one column of utilities per topic, which a move from s to t drops for s and
-t only, so a scheduler that reads all n*(m-1) deviations at every step
-re-evaluates O(n) of them. A deviation costs O(1) under prp and rand and
-O(writers on the target topic) under scoring. The all-starts pass, which visits every profile anyway, keeps one
-state and the moves per profile instead.
+The run's memo (_RunMemo) keeps one column of utilities per topic, which a
+move from s to t drops for s and t only. Round-robin and the first
+deviator read an author's m deviations through it, filled when first asked
+for, and stop at the first improving author. The random scheduler, which
+reads all n*(m-1) deviations at every step, refills the two columns in
+full, 2n kernel calls per step, and compares whole columns against the
+authors' own utilities. A deviation costs O(1) under prp and rand and
+O(writers on the target topic) under scoring. The all-starts pass, which
+visits every profile anyway, keeps one state and the moves per profile
+instead.
 
 Under prp and rand the kernel's utilities are ints over the game's scale S,
 so at margin 0 a move improves when one int exceeds another. At a margin
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import chain, compress, product
+from operator import gt
 
 from .errors import ValidationError
 from .model import (
@@ -219,35 +225,47 @@ def _move_for(state: ProfileState, j: int, response: str, margin: float):
 
 class _RunMemo:
     """A run's one kernel state, moved with the run, and the utilities it
-    has given: cols[t-1][j] is state.utility(j, t), or None until asked for.
+    has given: cols[t-1][j-1] is state.utility(j, t), or None until asked
+    for.
 
     An entry depends only on the writers of topic t besides author j, so a
     move from s to t drops the columns of s and t and keeps every other
-    entry, the mover's own included. Reads go through utility(j, t), a and
-    kernel, as on a ProfileState.
+    entry, the mover's own included. A full memo, the random scheduler's,
+    refills those two columns at once, 2n kernel calls per move, and the
+    scheduler reads cols directly; a lazy one fills an entry when
+    utility(j, t) first asks for it, for the schedulers that stop at the
+    first improving author and read it, like a ProfileState, through
+    utility(j, t), a and kernel.
     """
 
-    __slots__ = ("state", "kernel", "a", "cols")
+    __slots__ = ("state", "kernel", "a", "cols", "full")
 
-    def __init__(self, state: ProfileState):
+    def __init__(self, state: ProfileState, full: bool):
         self.state = state
         self.kernel = state.kernel
         self.a = state.a
-        self.cols = [[None] * (len(state.a) + 1) for _ in state.kernel.topics]
+        self.full = full
+        self.cols = [self._column(t) for t in state.kernel.topics]
+
+    def _column(self, t: int) -> list:
+        if not self.full:
+            return [None] * len(self.a)
+        u = self.state.utility
+        return [u(j, t) for j in range(1, len(self.a) + 1)]
 
     def utility(self, j: int, t: int):
         col = self.cols[t - 1]
-        u = col[j]
+        u = col[j - 1]
         if u is None:
-            u = col[j] = self.state.utility(j, t)
+            u = col[j - 1] = self.state.utility(j, t)
         return u
 
     def move(self, j: int, t: int):
-        fresh = [None] * (len(self.a) + 1)
-        self.cols[self.a[j - 1] - 1] = fresh
-        self.cols[t - 1] = fresh[:]
+        s = self.a[j - 1]
         self.state.move(j, t)
         self.a = self.state.a
+        self.cols[s - 1] = self._column(s)
+        self.cols[t - 1] = self._column(t)
 
 
 def default_max_steps(game: Game) -> int:
@@ -297,8 +315,16 @@ def run_dynamics(
     repeat_seen = False
     ptr = 0  # round-robin position
     idle = 0  # consecutive round-robin visits without a move
-    state = _RunMemo(profile_state(game, a))
+    state = _RunMemo(profile_state(game, a), full=not deterministic)
     value = state.kernel.value
+    if not deterministic:
+        pairs = list(product(authors, state.kernel.topics))
+        # better(u1, u0): u1 improves on u0
+        if margin:
+            def better(u1, u0):
+                return improves(value(u0), value(u1), margin)
+        else:
+            better = gt
 
     while True:
         # pick the mover and her move
@@ -320,16 +346,23 @@ def run_dynamics(
                     break
                 idle += 1
         else:
-            candidates = []
-            for j in authors:
-                if response == BETTER:
-                    candidates.extend((j, *mv) for mv in _improving_moves(state, j, margin))
-                else:
-                    got = _move_for(state, j, response, margin)
-                    if got is not None:
-                        candidates.append((j, *got))
+            # every improving (j, t) in j-major order, t ascending; a column
+            # entry equal to the author's own utility, her own topic's
+            # included, is no improvement
+            cols = state.cols
+            u0 = [cols[s - 1][i] for i, s in enumerate(a)]
+            if response == BETTER:
+                flags = chain.from_iterable(zip(*[map(better, col, u0) for col in cols]))
+                candidates = list(compress(pairs, flags))
+            else:
+                # each author's lowest-index best topic, when it improves
+                candidates = [
+                    (j, t) for j, row, u in zip(authors, zip(*cols), u0)
+                    for t in (row.index(max(row)) + 1,) if better(row[t - 1], u)
+                ]
             if candidates:
-                move = candidates[rng.randrange(len(candidates))]
+                j, t = candidates[rng.randrange(len(candidates))]
+                move = (j, t, u0[j - 1], cols[t - 1][j - 1])
 
         if move is None:
             t = Trajectory(init, tuple(steps), a)

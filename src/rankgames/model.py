@@ -447,6 +447,7 @@ class _Kernel:
                 self.scale *= math.lcm(*game.quality_den)
         if kind == "prp":
             self.qkey = [list(row) for row in zip(*game.quality_num)]
+            self.qualities = None
             self.state_class = _TopRankState
         elif kind == "rand":
             self.state_class = _UniformState
@@ -473,6 +474,16 @@ class _Kernel:
                 s = s * self.quality_num[t - 1][j - 1] // self.quality_den[t - 1]
             self.shares[key] = s
         return s
+
+    def top_qualities(self) -> list[dict]:
+        """prp: per topic, each quality key -> that quality as a Fraction,
+        with an empty topic's top key -1 -> 0; built on first use."""
+        if self.qualities is None:
+            self.qualities = [
+                {-1: Fraction(0), **{x: Fraction(x, den) for x in col}}
+                for den, col in zip(self.quality_den, self.quality_num)
+            ]
+        return self.qualities
 
     def value(self, u):
         """A kernel utility as the API hands it out: Fraction(u, scale),

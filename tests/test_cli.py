@@ -79,7 +79,10 @@ def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
     # f(x1) would be complex, or overflow, before x1's range is checked
     ["counterexample", "thm3", "--f", "power", "--param", "0.5", "--x1", "-1"],
     ["counterexample", "thm3", "--f", "exponential", "--param", "700", "--x1", "2"],
-], ids=["analyze budget -1", "analyze budget 0", "thm3 power x1 -1", "thm3 exponential x1 2"])
+    # beta/alpha = 1e600 has no float
+    ["counterexample", "thm5", "--alpha", "1e-300", "--beta", "1e300"],
+], ids=["analyze budget -1", "analyze budget 0", "thm3 power x1 -1", "thm3 exponential x1 2",
+        "thm5 beta/alpha beyond the float range"])
 def test_out_of_range_argument_exits_2(argv, game_file, capsys):
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -223,5 +226,9 @@ def test_unreadable_and_malformed_json_messages(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not valid JSON: ")
+    # json reads an integer beyond the int conversion digit limit as a ValueError
+    bad.write_text('{"n": ' + "1" * 5000 + "}")
     assert main([command, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad} is not valid JSON: ")

@@ -198,6 +198,69 @@ def test_dynamics_match_the_float_oracle_under_scoring(run, margin):
         assert type(s.utility_before) is type(s.utility_after) is float
 
 
+# ---------- the random scheduler against the oracle ----------
+
+@st.composite
+def random_runs(draw):
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    tie_rich = draw(st.booleans())
+    game = rg.generate_random_game(
+        draw(st.integers(0, 10**6)), n, m,
+        generic_Q=not tie_rich,
+        sorted_D=False,
+        denominator_bound=draw(st.integers(1, 4)) if tie_rich else 60,
+        mediator=draw(st.sampled_from(MEDIATORS)),
+        scheme=draw(st.sampled_from((rg.EXPOSURE, rg.ACTION))),
+    )
+    # a crowded start, every author on one topic, or a random one
+    init = draw(st.one_of(
+        st.integers(1, m).map(lambda k: (k,) * n),
+        st.lists(st.integers(1, m), min_size=n, max_size=n).map(tuple),
+    ))
+    sched = rg.RandomOrder(draw(st.integers(0, 2**16)))
+    return game, init, sched, draw(st.sampled_from((rg.BETTER, rg.BEST)))
+
+
+def assert_random_run_matches(game, init, sched, response, margin, max_steps=20):
+    got = rg.run_dynamics(game, init, sched, max_steps, response, margin)
+    want = oracle.dynamics(game, init, sched, max_steps, response, margin)
+    assert type(got) is type(want)
+    assert got == want
+    kind = float if game.mediator.kind == "scoring" else F
+    for s in got.trajectory.steps:
+        assert type(s.utility_before) is type(s.utility_after) is kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_runs(), st.sampled_from((0.0, 1e-3)))
+def test_random_scheduler_matches_the_oracle(run, margin):
+    assert_random_run_matches(*run, margin)
+
+
+def test_random_scheduler_skips_deviations_equal_to_the_current_utility():
+    # both authors tie on topic 1 at utility 1/5; the empty topic 2 gives
+    # 1/5 too, no gain, and only topic 3 (2/5) improves
+    game = rg.make_game(("2/5", "1/5", "2/5"), (("1", "1", "1"), ("1", "1", "1")))
+    for seed in range(6):
+        for response in (rg.BETTER, rg.BEST):
+            out = rg.run_dynamics(game, (1, 1), rg.RandomOrder(seed), 12, response)
+            assert out.trajectory.steps[0].to_topic == 3
+            assert_random_run_matches(game, (1, 1), rg.RandomOrder(seed), response, 0.0)
+
+
+@pytest.mark.parametrize("sched", [rg.RandomOrder(0), rg.RoundRobin(), rg.FirstDeviator()],
+                         ids=["random", "round-robin", "first-deviator"])
+@pytest.mark.parametrize("response", [rg.BETTER, rg.BEST])
+def test_a_gain_within_the_margin_is_no_move(sched, response):
+    # alone on topic 1 the author has 1000/2001, and topic 2 gives 1001/2001:
+    # a relative gain of 1/1001, below the margin 1e-3
+    game = rg.make_game(("1000/2001", "1001/2001"), (("1", "1"),))
+    for margin, steps in ((0.0, 1), (1e-3, 0)):
+        got = rg.run_dynamics(game, (1,), sched, 12, response, margin)
+        assert got.steps_taken == steps
+        assert got == oracle.dynamics(game, (1,), sched, 12, response, margin)
+
+
 # ---------- the exact comparison ----------
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)

@@ -106,3 +106,15 @@ def test_empty_topics_read_as_quality_and_count_zero():
     assert stats.top_count_rows == ((1, 0, 0),)
     assert stats.max_top_quality == (F(1, 2), F(0), F(0))
     assert_same_report(game, t)
+
+
+def test_post_step_utility_equal_to_the_cap_passes():
+    # author 2 joins author 1 at quality 2/3 on topic 2: 1/6 -> 2/9, and the
+    # cap D_2/(min top count 1 + 1) * max top quality 2/3 is 2/9 too
+    game = rg.make_game(("1/3", "2/3"), (("1/10", "2/3"), ("1/2", "2/3")), scheme=rg.ACTION)
+    t = rg.Trajectory((2, 1), (rg.Step(1, 2, 1, 2, F(1, 6), F(2, 9)),), (2, 2))
+    rep = rg.path_invariant_report(game, t)
+    assert rep.checks == (StepCheck(1, True, "pass"),)
+    assert rep.statistics.min_top_count == (0, 1)
+    assert rep.statistics.max_top_quality == (F(1, 2), F(2, 3))
+    assert_same_report(game, t)
