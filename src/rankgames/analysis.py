@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import combinations, compress, islice
 from operator import add, and_, getitem, lt, sub
 
 from .errors import (
@@ -42,7 +42,9 @@ from .model import (
     _Kernel,
     _Record,
     _set,
+    _topic_masks,
     _utility_columns,
+    _writer_set_table,
 )
 from .dynamics import Trajectory
 
@@ -323,15 +325,16 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     """Test every 2x2 subgame for separability and report the worst residual.
 
     An exact potential exists iff every 2x2 subgame is separable (Monderer
-    and Shapley, 1996): with X = u_i - u_j and w_t = X[s2][t] - X[s1][t],
-    the residual of (s1, s2) x (t1, t2) is w_t1 - w_t2, so the worst over
-    the t-pairs is max(w) - min(w). The scan reads the game's utility
-    columns. Under prp/rand they are ints over the kernel's scale S: the
-    test is exact and the worst residual is a Fraction over S. Under
-    scoring they are floats, the worst is a float and a potential is
-    reported when it is at most tol; it can differ in the last bits from
-    potential_residual at the witness, which sums the same eight utilities
-    in another order. The witness is the first subgame in the order pair,
+    and Shapley, 1996). For authors i, j and a rest (the others' profile),
+    the residual of (s1, s2) x (t1, t2) is v_t1 - v_t2, with v_s1 = e(s1),
+    v_s2 = -e(s2), v = 0 elsewhere and e(s) = (u_j(W+i+j) - u_j(W+j)) -
+    (u_i(W+i+j) - u_i(W+i)), W the rest's writers on s; the README derives
+    it. So the scan reads e off the writer-set table, never the columns.
+    Under prp/rand the table holds ints over the kernel's scale S: the test
+    is exact and the worst residual is a Fraction over S. Under scoring it
+    holds floats, the worst is a float and a potential is reported when it
+    is at most tol; it can differ in the last bits from potential_residual
+    at the witness. The witness is the first subgame in the order pair,
     rest, (s1, s2), (t1, t2) that attains the worst residual.
     """
     check_tolerance(tol, "tol")
@@ -340,82 +343,73 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     exact = game.mediator.kind != "scoring"
     if n < 2 or m < 2:  # no 2x2 subgame
         return PotentialReport(True, _ZERO if exact else 0.0, None)
-    cols, scale = _utility_columns(game)
-    worst, witness = _scan_vectors(cols, n, m)
+    by_set, scale = _writer_set_table(game)
+    worst, at = 0, None
+    for i, j in combinations(range(n), 2):
+        # e[s][W] for the masks W without i and j, ascending: bit k of
+        # the index W stands for the k-th author other than i and j
+        bi, bj = 1 << i, 1 << j
+        W = [x for x in range(1 << n) if not x & (bi | bj)]
+        wi, wj, wij = ([x | b for x in W] for b in (bi, bj, bi | bj))
+        e = [list(map(sub, map(sub, map(u[j].__getitem__, wij), map(u[j].__getitem__, wj)),
+                      map(sub, map(u[i].__getitem__, wij), map(u[i].__getitem__, wi))))
+             for u in by_set]
+        if m == 2:  # the writers on topic 2 are the rest's complement
+            top = max(map(abs, map(add, e[0], reversed(e[1]))))
+        else:
+            big, small = sorted(map(max, e)), sorted(map(min, e))
+            top = max(big[-1], -small[0])  # max |e|
+            # a sum over disjoint W1, W2 is at most the sum of two topics'
+            # extremes: when that cannot beat top or worst, skip the sums
+            if max(big[-1] + big[-2], -(small[0] + small[1])) > max(top, worst):
+                hi = [_over_subsets(max, x) for x in e[:-1]]
+                lo = [_over_subsets(min, x) for x in e[:-1]]
+                for s1, s2 in combinations(range(m), 2):
+                    # e(s2, W2) plus the max and the min over W1 within its complement
+                    top = max(top, max(map(add, e[s2], reversed(hi[s1]))),
+                              -min(map(add, e[s2], reversed(lo[s1]))))
+        if top > worst:
+            worst, at = top, (i, j, e)
+    witness = None if at is None else _first_worst_subgame(*at, worst, n, m)
     if exact:
         worst = Fraction(worst, scale)
         return PotentialReport(worst == 0, worst, witness)
     return PotentialReport(worst <= tol, float(worst), witness)
 
 
-def _scan_vectors(cols: list, n: int, m: int):
-    """The worst separability residual max(w) - min(w) and its witness, with
-    all the rests and s-pairs of one or more author pairs as one vector."""
-    pairs = [(s1, s2) for s1 in range(m - 1) for s2 in range(s1 + 1, m)]
-    rests = m ** (n - 2)
-    step = max(1, _CHUNK // (len(pairs) * m))  # rests per chunk
-    # A pair's X is read in the order (topic of i, topic of j, rest), where
-    # the block of (s, t) starts at (s * m + t) * rests. Where the blocks of
-    # the corners (s2, t) and (s1, t) start, t by t, then s-pair by s-pair:
-    corners = [[(sp[k] * m + t) * rests for t in range(m) for sp in pairs] for k in (1, 0)]
-    authors = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+def _over_subsets(f, x: list) -> list:
+    """y[W] = f over x[V] for every subset V of W. Each round folds the top
+    bit and then rotates every index's bits left by one."""
+    size = len(x)
+    half, rot = size >> 1, [*range(0, size, 2), *range(1, size, 2)]
+    for _ in range(size.bit_length() - 1):
+        x = x[:half] + list(map(f, x[half:], x[:half]))
+        x = list(map(x.__getitem__, rot))
+    return x
 
-    def gather(i, j):  # X = u_i - u_j in the order above
-        wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
-        starts = [0]  # the rests' profiles, i and j on topic 1, in canonical order
-        for k in range(n):
-            if k != i and k != j:
-                starts = [b + t for b in starts for t in range(0, m ** (n - k), m ** (n - 1 - k))]
-        blocks = [s * wi + t * wj for s in range(m) for t in range(m)]
-        order = list(map(add, chain.from_iterable(map(repeat, blocks, repeat(rests))), cycle(starts)))
-        return list(map(sub, map(cols[i].__getitem__, order), map(cols[j].__getitem__, order)))
 
-    worst, at = 0, None
-    # a chunk is a run of rests of one pair, or of whole pairs if one fits
-    per = max(1, step // rests)
-    for g0 in range(0, len(authors), per):
-        group = [gather(i, j) for i, j in authors[g0:g0 + per]]
-        for r0 in range(0, rests, step):
-            r1 = min(rests, r0 + step)
-            # w_t = X[s2][t] - X[s1][t], t by t over the s-pairs, pairs and
-            # rests; per s-pair, pair and rest, max(w) - min(w)
-            w = list(map(sub, *(_by_kind(group, c, r0, r1) for c in corners)))
-            w = [w[t * len(w) // m:(t + 1) * len(w) // m] for t in range(m)]
-            res = list(map(sub, map(max, *w), map(min, *w)))
-            top = max(res)
-            if top > worst:
-                # res runs s-pair by s-pair over the chunk's pairs and rests,
-                # the scan pair by pair, rest by rest, then s-pair by s-pair
-                worst, rc = top, r1 - r0
-                span = len(group) * rc
-                (p, r), k = min((divmod(res.index(top, k * span, k * span + span) - k * span, rc), k)
-                                for k in range(len(pairs)) if top in res[k * span:k * span + span])
-                at = (*authors[g0 + p], r0 + r, k)
-    if at is None:
-        return worst, None
-    i, j, r, k = at
+def _first_worst_subgame(i: int, j: int, e: list, worst, n: int, m: int) -> PotentialWitness:
+    """The first subgame of pair (i, j) in the order rest, (s1, s2), (t1, t2)
+    whose |v_t1 - v_t2| is worst, with v from the rest's e terms."""
+    # x[s][r]: e(s, W) for W the writers on s at rest r
+    x = [list(map(e[s].__getitem__, _topic_masks(n - 2, m, s))) for s in range(m)]
+    pairs = list(combinations(range(m), 2))
+    first = []  # per s-pair that attains the worst: the first rest where it does
+    for s1, s2 in pairs:
+        res = map(abs, map(add, x[s1], x[s2]))  # |v_s1 - v_s2|
+        if m > 2:  # and |v_s1 - 0|, |0 - v_s2|
+            res = map(max, map(abs, x[s1]), map(abs, x[s2]), res)
+        res = list(res)
+        if worst in res:
+            first.append((res.index(worst), s1, s2))
+    r, s1, s2 = min(first)
+    v = [0] * m
+    v[s1], v[s2] = x[s1][r], -x[s2][r]
+    t1, t2 = next((t1, t2) for t1, t2 in pairs if abs(v[t1] - v[t2]) == worst)
     base = list(profile_at(r, n - 2, m))
     base.insert(i, 1)
     base.insert(j, 1)
-    # the s-pair's first t-pair with |w_t1 - w_t2| = worst, on the w the scan
-    # computed: X[s2] - X[s1] over t
-    (s1, s2), b0 = pairs[k], profile_index(base, m)
-    wi, wj = m ** (n - 1 - i), m ** (n - 1 - j)
-    x = [[cols[i][y] - cols[j][y] for y in range(b0 + s * wi, b0 + s * wi + m * wj, wj)]
-         for s in (s2, s1)]
-    w = list(map(sub, *x))
-    t1, t2 = next((t1, t2) for t1, t2 in pairs if abs(w[t1] - w[t2]) == worst)
-    return worst, PotentialWitness((i + 1, j + 1), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), tuple(base))
-
-
-# entries per vector of the potential scan, which takes the rests in chunks
-_CHUNK = 1 << 12
-
-
-def _by_kind(group: list, blocks: list[int], r0: int, r1: int) -> list:
-    """Rests r0..r1 of the block starting at each entry of blocks, in the
-    gathered X of each pair of the group: block by block, pair by pair."""
-    return list(chain.from_iterable(x[b + r0:b + r1] for b in blocks for x in group))
+    return PotentialWitness((i + 1, j + 1), (s1 + 1, s2 + 1), (t1 + 1, t2 + 1), tuple(base))
 
 
 # ---------- path invariants ----------
@@ -472,6 +466,10 @@ def path_invariant_report(game: Game, t: Trajectory) -> PathInvariantReport:
     pre-step top quality, and whenever it does not strictly exceed it, the
     post-step utility must obey demand(k)/(min top count + 1), times the path
     maximum of k's top quality under the action scheme.
+    No trajectory that _replay accepts can fail these checks: a mover below
+    k's pre-step top earns 0 there, which is no strict gain, and one at the
+    top gets D_k/h_after (times its quality, at most the path's top) with
+    h_after >= min top count + 1. So the report restates the bounds.
     Everything is read from one kernel state, moved along the trajectory:
     each visited profile's top quality keys and tie counts, and each mover's
     post-step utility as an int over the game's scale. The caps are compared

@@ -148,24 +148,36 @@ def _halving_epsilon(cap: Fraction, accept, what: str) -> Fraction:
 
 # ---------- exposure-scheme construction ----------
 
-def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40, margin: float = 1e-6):
+def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40, margin: float = 1e-6,
+                         max_evals: int = 10**6):
     """Qualities 0 < x3 < x2 < x1 <= 1 whose score ratios c1 = f(x1)/f(x2)
     and c2 = f(x2)/f(x3) satisfy c2 > 2*c1 > 2 with relative margin.
 
     Scans x2 over a coarse-to-fine halving grid (level L tries descending odd
     multiples of x1/2**L), then places c2 between 2*c1 and its feasibility
-    ceiling f(x2)/f(0) and recovers x3 by bisection.
+    ceiling f(x2)/f(0) and recovers x3 by bisection. The scan evaluates f
+    at most max_evals times, then raises SearchError with the level reached.
     """
     if not 0 < x1 <= 1:
         raise ValidationError("x1 must lie in (0, 1]")
     f0, f1 = f(0.0), f(x1)
     if not f1 > 2 * f0:
         raise PreconditionError("score function must satisfy f(x1) > 2*f(0)")
+    evals = 0
+
+    def score(x: float) -> float:
+        nonlocal evals
+        if evals == max_evals:
+            raise SearchError(f"no quality triple found in {max_evals} score evaluations; "
+                              f"the grid scan reached level {level} of {max_level}")
+        evals += 1
+        return f(x)
+
     for level in range(1, max_level + 1):
         step = x1 / 2**level
         for k in range(2**level - 1, 0, -2):
             x2 = k * step
-            f2 = f(x2)
+            f2 = score(x2)
             if f2 <= 0:
                 continue
             c1 = f1 / f2
@@ -175,10 +187,10 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40,
             if not c2_sup > 2 * c1 * (1 + 2 * margin):
                 continue
             c2 = 2 * c1 + min(1.0, (c2_sup - 2 * c1) / 2)
-            x3 = _solve_monotone(f, f2 / c2, 0.0, x2)
+            x3 = _solve_monotone(score, f2 / c2, 0.0, x2)
             if not 0 < x3 < x2:
                 continue
-            f3 = f(x3)
+            f3 = score(x3)
             if f3 <= 0:
                 continue
             c2 = f2 / f3  # realized ratio after bisection

@@ -293,9 +293,9 @@ class Game(_Record):
     `demand` and `quality` Fraction tuples are built on first access.
 
     All operations over it are pure; _cache, which == and hash ignore, only
-    memoizes: the deviation kernel's tables ("kernel"), the per-author
-    utility columns that improvement_graph and exact_potential_check share
-    ("columns", see _utility_columns), and the Fraction tuples."""
+    memoizes: the deviation kernel's tables ("kernel"), the writer-set table
+    the potential scan reads ("writer_sets") and the utility columns the graph
+    expands from it ("columns", see _utility_columns), and the Fraction tuples."""
 
     __match_args__ = (
         "demand_den", "demand_num", "quality_den", "quality_num", "mediator", "scheme"
@@ -645,55 +645,58 @@ def profile_state(game: Game, a: Profile) -> ProfileState:
     return kernel.state_class(kernel, a)
 
 
-def _utility_columns(game: Game) -> tuple[list[list], int | None]:
-    """Every profile's utilities, one column per author, built once per game
-    from kernel states: cols[j][x] is author j+1's utility at profile x.
-
-    Under prp/rand an entry is the kernel's int, the utility times S, and S
-    (kernel.scale) is returned with the columns; under scoring it is the
-    kernel's float and S is None. m^n * n entries, so only callers that have
-    checked the enumeration budget may ask for it.
-    """
-    store = game._cache.get("columns")
+def _writer_set_table(game: Game) -> tuple[list, int | None]:
+    """(by_set, S), built once per game: by_set[t][j][W] is author j+1's
+    utility on topic t+1 when the authors in bit mask W (bit j for author
+    j+1) write on it, the kernel's int, the utility times S = kernel.scale,
+    under prp/rand and its float under scoring, where S is None. Only
+    callers that have checked the enumeration budget may ask for it."""
+    store = game._cache.get("writer_sets")
     if store is None:
-        kernel = profile_state(game, (1,) * game.n).kernel
-        cols = _columns_by_writer_set(kernel, game.n, game.m)
-        store = game._cache["columns"] = (cols, kernel.scale)
+        n, m = game.n, game.m
+        kernel = profile_state(game, (1,) * n).kernel
+        by_set = [[[None] * (1 << n) for _ in range(n)] for _ in range(m)]
+        full = (1 << n) - 1
+        # the state with W on topic t and the rest on the next gives two topics' entries
+        for t in range(1, m + 1, 2):
+            for W in range(1 << n):
+                a = tuple(t if W >> j & 1 else t % m + 1 for j in range(n))
+                state = kernel.state_class(kernel, a)
+                for j, k in enumerate(a):
+                    by_set[k - 1][j][W if k == t else full ^ W] = state.utility(j + 1, k)
+        store = game._cache["writer_sets"] = (by_set, kernel.scale)
     return store
 
 
-def _columns_by_writer_set(kernel: _Kernel, n: int, m: int) -> list[list]:
-    # An author's utility depends only on the author's topic and its
-    # writers, so ceil(m/2) * 2^n states give every entry. by_set[t][j][S]:
-    # author j+1's utility on topic t+1 when the authors in bit mask S (bit j
-    # for author j+1) write on it. The state with S on topic t+1 and the others on the
-    # next topic gives two topics' entries.
-    by_set = [[[None] * (1 << n) for _ in range(n)] for _ in range(m)]
-    full = (1 << n) - 1
-    for t in range(1, m + 1, 2):
-        for S in range(1 << n):
-            a = tuple(t if S >> j & 1 else t % m + 1 for j in range(n))
-            state = kernel.state_class(kernel, a)
-            for j, k in enumerate(a):
-                by_set[k - 1][j][S if k == t else full ^ S] = state.utility(j + 1, k)
-    # at[x][t]: t << n | the writers on topic t+1 at profile x, the masks
-    # built from the last author's digit, the least significant, to the first
-    size = m**n
-    masks = []
-    for t in range(m):
-        mask = [t << n]
-        for j in reversed(range(n)):
-            mask = mask * t + list(map(or_, mask, repeat(1 << j))) + mask * (m - 1 - t)
-        masks.append(mask)
-    at = list(zip(*masks))
-    cols = []
-    for j in range(n):
-        # author j+1's topic at every profile, and j+1's entries keyed as in at
-        w = m ** (n - 1 - j)
-        topic = list(chain.from_iterable([t] * w for t in range(m))) * (size // (m * w))
-        look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
-        cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
-    return cols
+def _topic_masks(n: int, m: int, t: int, base: int = 0) -> list[int]:
+    """base | the bit mask of the writers on topic t+1 (bit j for author j+1)
+    at every profile of n authors, in canonical order."""
+    mask = [base]
+    for j in reversed(range(n)):
+        mask = mask * t + list(map(or_, mask, repeat(1 << j))) + mask * (m - 1 - t)
+    return mask
+
+
+def _utility_columns(game: Game) -> tuple[list[list], int | None]:
+    """(cols, S), expanded once per game from the writer-set table: cols[j][x]
+    is author j+1's utility at profile x, an entry as in _writer_set_table.
+    m^n * n entries, so only callers that have checked the enumeration
+    budget may ask for it."""
+    store = game._cache.get("columns")
+    if store is None:
+        by_set, scale = _writer_set_table(game)
+        n, m = game.n, game.m
+        # at[x][t]: t << n | the writers on topic t+1 at profile x
+        at = list(zip(*(_topic_masks(n, m, t, t << n) for t in range(m))))
+        cols = []
+        for j in range(n):
+            # author j+1's topic at every profile, and j+1's entries keyed as in at
+            w = m ** (n - 1 - j)
+            topic = list(chain.from_iterable([t] * w for t in range(m))) * m**j
+            look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
+            cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
+        store = game._cache["columns"] = (cols, scale)
+    return store
 
 
 def utility(game: Game, a, j: int):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import rankgames as rg
 from rankgames.errors import ValidationError
-from rankgames.model import as_rational, format_rational, mediator_to_dict
+from rankgames.model import as_rational, format_rational, mediator_to_dict, profile_index
 
 
 def writers(game, k, a):
@@ -181,3 +181,90 @@ def game_document(demand, quality, mediator, scheme):
         "mediator": mediator_to_dict(mediator),
         "utility": scheme,
     }
+
+
+# ---------- the improvement graph and the potential scan ----------
+
+def naive_graph(game, margin):
+    """Out-lists of the improvement graph by profile index, built move by
+    move from utility() and replace_topic."""
+    adj = []
+    for a in rg.iter_profiles(game.n, game.m):
+        out = []
+        for j in range(1, game.n + 1):
+            for t in range(1, game.m + 1):
+                if t == a[j - 1]:
+                    continue
+                b = rg.replace_topic(a, j, t)
+                if rg.improves(rg.utility(game, a, j), rg.utility(game, b, j), margin):
+                    out.append(profile_index(b, game.m))
+        adj.append(sorted(out))
+    return adj
+
+
+def four_term_residual(u, i, j, topics_i, topics_j, base):
+    """Monderer and Shapley's alternating sum over the subgame's four
+    profiles; u(a, k) is author k's utility at profile a."""
+    def at(s, t):
+        return rg.replace_topic(rg.replace_topic(base, i, s), j, t)
+
+    (s1, s2), (t1, t2) = topics_i, topics_j
+    return (u(at(s2, t1), i) - u(at(s1, t1), i) + u(at(s2, t2), j) - u(at(s2, t1), j)
+            + u(at(s1, t2), i) - u(at(s2, t2), i) + u(at(s1, t1), j) - u(at(s1, t2), j))
+
+
+def separability_residual(u, i, j, topics_i, topics_j, base):
+    """v_t1 - v_t2, where v_s1 = e(s1), v_s2 = -e(s2), v_t = 0 elsewhere and
+    e(s) = (u_j(W+i+j) - u_j(W+j)) - (u_i(W+i+j) - u_i(W+i)), W the other
+    authors on s: the order in which the scan evaluates float residuals."""
+    def e(s):
+        away = 2 if s == 1 else 1  # any topic but s
+
+        def at(si, sj):
+            return rg.replace_topic(rg.replace_topic(base, i, si), j, sj)
+
+        return (u(at(s, s), j) - u(at(away, s), j)) - (u(at(s, s), i) - u(at(s, away), i))
+
+    (s1, s2), (t1, t2) = topics_i, topics_j
+    v = {s1: e(s1), s2: -e(s2)}
+    return v.get(t1, 0) - v.get(t2, 0)
+
+
+def naive_residuals(game):
+    """|residual| and its subgame, subgame by subgame in scan order: under
+    prp/rand four_term_residual's, under scoring separability_residual's."""
+    vectors = {}
+
+    def u(a, k):
+        if a not in vectors:
+            vectors[a] = rg.utility_vector(game, a)
+        return vectors[a][k - 1]
+
+    residual = separability_residual if game.mediator.kind == "scoring" else four_term_residual
+    n, m = game.n, game.m
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            rest_idx = [r for r in range(1, n + 1) if r not in (i, j)]
+            for rest in rg.iter_profiles(n - 2, m):
+                base = [1] * n
+                for r, t in zip(rest_idx, rest):
+                    base[r - 1] = t
+                base = tuple(base)
+                for s1 in range(1, m):
+                    for s2 in range(s1 + 1, m + 1):
+                        for t1 in range(1, m):
+                            for t2 in range(t1 + 1, m + 1):
+                                res = residual(u, i, j, (s1, s2), (t1, t2), base)
+                                yield abs(res), rg.PotentialWitness((i, j), (s1, s2), (t1, t2), base)
+
+
+def naive_potential_check(game, tol=1e-9, residuals=None):
+    """The scan over naive_residuals, subgame by subgame: the first worst."""
+    exact = game.mediator.kind != "scoring"
+    worst = Fraction(0) if exact else 0.0
+    witness = None
+    for res, subgame in residuals or naive_residuals(game):
+        if res > worst:
+            worst, witness = res, subgame
+    has = worst == 0 if exact else worst <= tol
+    return rg.PotentialReport(has, worst, witness)

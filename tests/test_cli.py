@@ -81,8 +81,11 @@ def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
     ["counterexample", "thm3", "--f", "exponential", "--param", "700", "--x1", "2"],
     # beta/alpha = 1e600 has no float
     ["counterexample", "thm5", "--alpha", "1e-300", "--beta", "1e300"],
+    # f = x^1e-300 is 1 on (0, 1], so no grid point clears c1 > 1; only the
+    # count of f evaluations ends a scan of about 2^40 points
+    ["counterexample", "thm3", "--f", "power", "--param", "1e-300"],
 ], ids=["analyze budget -1", "analyze budget 0", "thm3 power x1 -1", "thm3 exponential x1 2",
-        "thm5 beta/alpha beyond the float range"])
+        "thm5 beta/alpha beyond the float range", "thm3 triple search without a triple"])
 def test_out_of_range_argument_exits_2(argv, game_file, capsys):
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")

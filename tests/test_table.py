@@ -1,41 +1,43 @@
-"""The per-game utility columns and the analyses that read them.
+"""The per-game writer-set table and the analyses that read it.
 
-improvement_graph and exact_potential_check read every utility from one
-column store per game, by profile index. The oracles here are the direct
-constructions: a graph built from utility() and replace_topic, and the scan
-that evaluates every 2x2 subgame's residual from utility_vector.
+improvement_graph reads every utility from per-author columns expanded from
+the game's writer-set table, and exact_potential_check reads the table
+itself. The oracles in tests/oracle.py are the direct constructions: a
+graph built from utility() and replace_topic, and the scan that evaluates
+every 2x2 subgame's residual from utility_vector.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rankgames as rg
-from rankgames import analysis
+from oracle import naive_graph, naive_potential_check, naive_residuals
 from rankgames.errors import ValidationError
-from rankgames.model import profile_index
 
+POWER2 = rg.Mediator.scoring(rg.ScoreFunction.power(2.0))
 MEDIATORS = (
     rg.PRP,
     rg.RAND,
+    rg.Mediator.scoring(rg.ScoreFunction.constant()),
     rg.Mediator.scoring(rg.ScoreFunction.identity()),
-    rg.Mediator.scoring(rg.ScoreFunction.power(2.0)),
+    POWER2,
+    rg.Mediator.scoring(rg.ScoreFunction.exp_minus_one()),
     rg.Mediator.scoring(rg.ScoreFunction.exponential(3.0)),
 )
 
 
 @st.composite
-def games(draw):
+def games(draw, n=st.integers(1, 4), m=st.integers(1, 4), bound=st.integers(1, 4)):
     tie_rich = draw(st.booleans())
     return rg.generate_random_game(
         draw(st.integers(0, 10**6)),
-        draw(st.integers(1, 4)),
-        draw(st.integers(1, 4)),
+        draw(n),
+        draw(m),
         generic_Q=not tie_rich,
         sorted_D=False,
-        denominator_bound=draw(st.integers(1, 4)) if tie_rich else 60,
+        denominator_bound=draw(bound) if tie_rich else 60,
         mediator=draw(st.sampled_from(MEDIATORS)),
         scheme=draw(st.sampled_from((rg.EXPOSURE, rg.ACTION))),
     )
@@ -44,66 +46,6 @@ def games(draw):
 def fresh(game):
     """An equal game with empty caches."""
     return rg.make_game(game.demand, game.quality, game.mediator, game.scheme)
-
-
-def naive_graph(game, margin):
-    adj = []
-    for a in rg.iter_profiles(game.n, game.m):
-        out = []
-        for j in range(1, game.n + 1):
-            for t in range(1, game.m + 1):
-                if t == a[j - 1]:
-                    continue
-                b = rg.replace_topic(a, j, t)
-                if rg.improves(rg.utility(game, a, j), rg.utility(game, b, j), margin):
-                    out.append(profile_index(b, game.m))
-        adj.append(sorted(out))
-    return adj
-
-
-def separability_residual(game, i, j, topics_i, topics_j, base):
-    """With X = u_i - u_j: (X[s2][t1] - X[s1][t1]) - (X[s2][t2] - X[s1][t2]),
-    the order in which the scan evaluates float residuals."""
-    def x(s, t):
-        vec = rg.utility_vector(game, rg.replace_topic(rg.replace_topic(base, i, s), j, t))
-        return vec[i - 1] - vec[j - 1]
-
-    (s1, s2), (t1, t2) = topics_i, topics_j
-    return (x(s2, t1) - x(s1, t1)) - (x(s2, t2) - x(s1, t2))
-
-
-def naive_residuals(game):
-    """|residual| and its subgame, subgame by subgame in scan order: under
-    prp/rand potential_residual's, under scoring separability_residual's."""
-    residual = separability_residual if game.mediator.kind == "scoring" else rg.potential_residual
-    n, m = game.n, game.m
-    others_profiles = list(rg.iter_profiles(max(n - 2, 0), m)) or [()]
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            rest_idx = [r for r in range(1, n + 1) if r not in (i, j)]
-            for rest in others_profiles:
-                base = [1] * n
-                for r, t in zip(rest_idx, rest):
-                    base[r - 1] = t
-                base = tuple(base)
-                for s1 in range(1, m):
-                    for s2 in range(s1 + 1, m + 1):
-                        for t1 in range(1, m):
-                            for t2 in range(t1 + 1, m + 1):
-                                res = residual(game, i, j, (s1, s2), (t1, t2), base)
-                                yield abs(res), rg.PotentialWitness((i, j), (s1, s2), (t1, t2), base)
-
-
-def naive_potential_check(game, tol=1e-9, residuals=None):
-    """The scan over naive_residuals, subgame by subgame."""
-    exact = game.mediator.kind != "scoring"
-    worst = Fraction(0) if exact else 0.0
-    witness = None
-    for res, subgame in residuals or naive_residuals(game):
-        if res > worst:
-            worst, witness = res, subgame
-    has = worst == 0 if exact else worst <= tol
-    return rg.PotentialReport(has, worst, witness)
 
 
 @settings(max_examples=60)
@@ -125,10 +67,9 @@ def test_graph_margin_on_float_ties():
 
 @settings(max_examples=60)
 @given(games())
-# on this game's floats, X[s2][t1] - X[s1][t1] - X[s2][t2] + X[s1][t2]
-# equals the worst residual at no t-pair of the witness's s-pair: the t-pair
-# must come from the w values of the scan's own order
-@example(rg.generate_random_game(1, 3, 3, mediator=MEDIATORS[3]))
+# on this game's floats, the four-term sum at the witness misses the worst
+# residual in the last bit: the oracle must evaluate the scan's e terms
+@example(rg.generate_random_game(8, 3, 3, mediator=POWER2))
 def test_potential_check_matches_residual_scan(game):
     assert_potential_check_matches(game)
 
@@ -147,11 +88,35 @@ def assert_potential_check_matches(game, residuals=None):
         assert math.isclose(at, got.worst_residual, rel_tol=1e-12, abs_tol=1e-14)
 
 
+@settings(max_examples=80)
+@given(games(n=st.integers(2, 5), m=st.integers(2, 4), bound=st.just(2)))
+# the worst residual is a sum e(s1, W1) + e(s2, W2) over disjoint writer sets
+# that no sum over overlapping ones reaches, the largest sum in the first two
+# games and the smallest in the third: few random games tell the two apart
+@example(rg.generate_random_game(8, 3, 3, sorted_D=False, mediator=POWER2, scheme=rg.ACTION))
+@example(rg.generate_random_game(0, 4, 4, generic_Q=False, sorted_D=False, denominator_bound=2,
+                                 mediator=POWER2, scheme=rg.ACTION))
+@example(rg.generate_random_game(2, 4, 3, generic_Q=False, sorted_D=False, denominator_bound=2,
+                                 mediator=POWER2, scheme=rg.ACTION))
+def test_potential_check_matches_oracle(game):
+    # every game has a 2x2 subgame; m = 2 and m >= 3 take different branches
+    assert_potential_check_matches(game)
+
+
+def test_potential_scan_reads_the_writer_set_table():
+    game = rg.generate_random_game(3, 4, 3, mediator=POWER2)
+    rg.exact_potential_check(game)
+    assert "writer_sets" in game._cache and "columns" not in game._cache
+    game = fresh(game)
+    rg.improvement_graph(game)
+    table = game._cache["writer_sets"]
+    rg.exact_potential_check(game)
+    assert game._cache["writer_sets"] is table
+
+
 # tie-rich games where several subgames attain the worst residual: the
-# witness must be the first of them in scan order (author pair, rest, then
-# kind of subgame). In most of them the first by kind comes later in that
-# order; in the t-pairs case several t-pairs tie at one rest.
-POWER2 = rg.Mediator.scoring(rg.ScoreFunction.power(2.0))
+# witness must be the first of them in scan order (author pair, rest,
+# s-pair, t-pair); in the t-pairs case several t-pairs tie at one rest.
 TIED_WORST = [
     ("prp exposure 3^5", 13, 5, 3, rg.PRP, rg.EXPOSURE),
     ("prp action 4^5", 11, 5, 4, rg.PRP, rg.ACTION),
@@ -176,17 +141,33 @@ def test_potential_witness_is_the_first_worst_subgame(seed, n, m, mediator, sche
     assert_potential_check_matches(game, residuals)
 
 
+# tie-rich games whose first worst subgame lies past the first author pair
+# and at a rest other than the first, while other pairs attain it too: the
+# witness comes from the first pair that attains the worst, and from the
+# scan of that pair's rests, for both branches of the scan (m = 2, m >= 3)
+LATER_WORST = [
+    ("prp exposure 2^5", 9, 5, 2, rg.PRP, rg.EXPOSURE),
+    ("rand action 2^5", 1, 5, 2, rg.RAND, rg.ACTION),
+    ("power(2) exposure 2^4", 1, 4, 2, POWER2, rg.EXPOSURE),
+    ("prp action 3^4", 16, 4, 3, rg.PRP, rg.ACTION),
+    ("rand action 3^4", 3, 4, 3, rg.RAND, rg.ACTION),
+    ("prp exposure 4^4", 5, 4, 4, rg.PRP, rg.EXPOSURE),
+    ("power(2) exposure 4^4", 1, 4, 4, POWER2, rg.EXPOSURE),
+]
+
+
 @pytest.mark.parametrize("seed, n, m, mediator, scheme",
-                         [case[1:] for case in TIED_WORST[:-1]], ids=[case[0] for case in TIED_WORST[:-1]])
-def test_potential_witness_across_chunks(seed, n, m, mediator, scheme, monkeypatch):
-    # vectors of 1, 7, 30 and 500 entries: chunks that split one pair's rests,
-    # and chunks of several pairs, where the witness order crosses chunks
+                         [case[1:] for case in LATER_WORST], ids=[case[0] for case in LATER_WORST])
+def test_potential_witness_in_a_later_pair_and_rest(seed, n, m, mediator, scheme):
     game = rg.generate_random_game(seed, n, m, generic_Q=False, denominator_bound=2,
                                    sorted_D=False, mediator=mediator, scheme=scheme)
     residuals = list(naive_residuals(fresh(game)))
-    for chunk in (1, 7, 30, 500):
-        monkeypatch.setattr(analysis, "_CHUNK", chunk)
-        assert_potential_check_matches(fresh(game), residuals)
+    worst = max(r for r, _ in residuals)
+    tied = [subgame for r, subgame in residuals if r == worst]
+    first = tied[0]
+    assert first.authors != (1, 2) and len({w.authors for w in tied}) > 1
+    assert any(t != 1 for k, t in enumerate(first.base, 1) if k not in first.authors)
+    assert_potential_check_matches(game, residuals)
 
 
 def test_exact_graph_at_a_positive_margin():
