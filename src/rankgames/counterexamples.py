@@ -148,15 +148,17 @@ def _halving_epsilon(cap: Fraction, accept, what: str) -> Fraction:
 
 # ---------- exposure-scheme construction ----------
 
-def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40, margin: float = 1e-6,
-                         max_evals: int = 10**6):
+_MAX_EVALS = 10**6  # score evaluations before find_exposure_triple gives up
+
+
+def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40, margin: float = 1e-6):
     """Qualities 0 < x3 < x2 < x1 <= 1 whose score ratios c1 = f(x1)/f(x2)
     and c2 = f(x2)/f(x3) satisfy c2 > 2*c1 > 2 with relative margin.
 
     Scans x2 over a coarse-to-fine halving grid (level L tries descending odd
     multiples of x1/2**L), then places c2 between 2*c1 and its feasibility
     ceiling f(x2)/f(0) and recovers x3 by bisection. The scan evaluates f
-    at most max_evals times, then raises SearchError with the level reached.
+    at most _MAX_EVALS times, then raises SearchError with the level reached.
     """
     if not 0 < x1 <= 1:
         raise ValidationError("x1 must lie in (0, 1]")
@@ -167,8 +169,8 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40,
 
     def score(x: float) -> float:
         nonlocal evals
-        if evals == max_evals:
-            raise SearchError(f"no quality triple found in {max_evals} score evaluations; "
+        if evals >= _MAX_EVALS:
+            raise SearchError(f"no quality triple found in {_MAX_EVALS} score evaluations; "
                               f"the grid scan reached level {level} of {max_level}")
         evals += 1
         return f(x)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import rankgames as rg
+from rankgames import counterexamples
 from rankgames.errors import PreconditionError, SearchError, ValidationError
 
 
@@ -75,10 +76,11 @@ def test_exposure_triple_needs_growth():
         rg.find_exposure_triple(rg.ScoreFunction.constant())
 
 
-def test_exposure_triple_search_is_bounded():
+def test_exposure_triple_search_is_bounded(monkeypatch):
     # every grid point fails c1 > 1; level 9 holds points 256 to 511
+    monkeypatch.setattr(counterexamples, "_MAX_EVALS", 300)
     with pytest.raises(SearchError, match="in 300 score evaluations; the grid scan reached level 9 of 40"):
-        rg.find_exposure_triple(rg.ScoreFunction.power(1e-300), max_evals=300)
+        rg.find_exposure_triple(rg.ScoreFunction.power(1e-300))
 
 
 def test_exposure_epsilon_identity():
