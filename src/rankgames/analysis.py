@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, compress, islice
-from operator import add, and_, getitem, lt, sub
+from operator import add, and_, getitem, sub
 
 from .errors import (
     BudgetExceededError,
@@ -32,7 +31,6 @@ from .model import (
     Profile,
     check_tolerance,
     format_number,
-    improves,
     make_game,
     profile_at,
     profile_index,
@@ -41,6 +39,7 @@ from .model import (
     utility_vector,
     _Kernel,
     _Record,
+    _gain,
     _set,
     _topic_masks,
     _utility_columns,
@@ -94,12 +93,8 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
     _check_budget(game, budget)
     n, m = game.n, game.m
     size = m**n
-    cols, scale = _utility_columns(game)
-    gain = lt  # at margin 0, improves(u0, u1) is u0 < u1 on ints and floats alike
-    if margin:
-        gain = partial(improves, margin=margin)
-        if scale is not None:
-            cols = [[Fraction(u, scale) for u in col] for col in cols]
+    cols = _utility_columns(game)
+    better = _gain(profile_state(game, (1,) * n).kernel, margin)
     adj: list[list[int]] = [[] for _ in range(size)]
     # Author j moving d topics up moves the profile index by d * w. The
     # passes add the edges in the order that leaves every out-list sorted:
@@ -113,7 +108,7 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
         # x and x + e share a line of author j when j's topic at x is at most m - d
         line = ([True] * ((m - d) * w) + [False] * e) * (size // (m * w))
         low, high = col, islice(col, e, None)
-        sel = list(map(and_, line, map(gain, low, high) if up else map(gain, high, low)))
+        sel = list(map(and_, line, map(better, high, low) if up else map(better, low, high)))
         tails, heads = (adj, range(e, size)) if up else (islice(adj, e, None), range(size))
         deque(map(list.append, compress(tails, sel), compress(heads, sel)), 0)
     return ImprovementGraph(game, size, adj, margin)

@@ -120,14 +120,21 @@ def verify_improvement_cycle(game: Game, profiles, margin: float = VERIFY_MARGIN
 
 # ---------- numeric search helpers ----------
 
-def _solve_monotone(f, target: float, lo: float, hi: float, iters: int = 200) -> float:
+_BISECTIONS = 200  # the steps of _solve_monotone
+_MAX_EVALS = 10**6  # score evaluations before find_exposure_triple gives up
+_MAX_LEVEL = 40  # the finest grid level find_exposure_triple scans
+_EXPOSURE_MARGIN = 1e-6  # relative margin of find_exposure_triple's ratio tests
+_ACTION_MARGIN = 1e-9  # relative margin of find_action_triple's chain
+
+
+def _solve_monotone(f, target: float, lo: float, hi: float) -> float:
     """Bisect a non-decreasing f for f(x) = target on [lo, hi]."""
     flo, fhi = f(lo), f(hi)
     if not flo <= target <= fhi:
         raise SearchError(
             f"target {target} outside f range [{flo}, {fhi}] on [{lo}, {hi}]"
         )
-    for _ in range(iters):
+    for _ in range(_BISECTIONS):
         mid = (lo + hi) / 2
         if f(mid) < target:
             lo = mid
@@ -148,10 +155,7 @@ def _halving_epsilon(cap: Fraction, accept, what: str) -> Fraction:
 
 # ---------- exposure-scheme construction ----------
 
-_MAX_EVALS = 10**6  # score evaluations before find_exposure_triple gives up
-
-
-def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40, margin: float = 1e-6):
+def find_exposure_triple(f: ScoreFunction, x1: float = 1.0):
     """Qualities 0 < x3 < x2 < x1 <= 1 whose score ratios c1 = f(x1)/f(x2)
     and c2 = f(x2)/f(x3) satisfy c2 > 2*c1 > 2 with relative margin.
 
@@ -171,11 +175,11 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40,
         nonlocal evals
         if evals >= _MAX_EVALS:
             raise SearchError(f"no quality triple found in {_MAX_EVALS} score evaluations; "
-                              f"the grid scan reached level {level} of {max_level}")
+                              f"the grid scan reached level {level} of {_MAX_LEVEL}")
         evals += 1
         return f(x)
 
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         step = x1 / 2**level
         for k in range(2**level - 1, 0, -2):
             x2 = k * step
@@ -183,10 +187,10 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40,
             if f2 <= 0:
                 continue
             c1 = f1 / f2
-            if not c1 > 1 + margin:
+            if not c1 > 1 + _EXPOSURE_MARGIN:
                 continue
             c2_sup = f2 / f0 if f0 > 0 else math.inf
-            if not c2_sup > 2 * c1 * (1 + 2 * margin):
+            if not c2_sup > 2 * c1 * (1 + 2 * _EXPOSURE_MARGIN):
                 continue
             c2 = 2 * c1 + min(1.0, (c2_sup - 2 * c1) / 2)
             x3 = _solve_monotone(score, f2 / c2, 0.0, x2)
@@ -196,7 +200,7 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0, max_level: int = 40,
             if f3 <= 0:
                 continue
             c2 = f2 / f3  # realized ratio after bisection
-            if c2 > 2 * c1 * (1 + margin):
+            if c2 > 2 * c1 * (1 + _EXPOSURE_MARGIN):
                 return x1, x2, x3, c1, c2
     raise SearchError("no quality triple found at the configured grid resolution")
 
@@ -250,7 +254,7 @@ def build_exposure_cycle_game(f: ScoreFunction, x1: float = 1.0) -> Counterexamp
 
 # ---------- action-scheme construction ----------
 
-def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0, margin: float = 1e-9):
+def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0):
     """Qualities 1/alpha < x3 < x2 < x1 <= 1 putting c1 = f(x1)/f(x2) and
     c2 = f(x1)/f(x3) inside the chain 2(2a-1) < 2*c1 < c2 < 2(2a-1/2).
 
@@ -280,7 +284,7 @@ def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0, margin: 
     if f2 <= 0 or f3 <= 0:
         raise SearchError("score function vanishes on the candidate qualities")
     c1, c2 = f1 / f2, f1 / f3  # realized ratios
-    if not lo * (1 + margin) < 2 * c1 < c2 < hi * (1 - margin):
+    if not lo * (1 + _ACTION_MARGIN) < 2 * c1 < c2 < hi * (1 - _ACTION_MARGIN):
         raise SearchError("no chain-satisfying triple at the configured resolution")
     return x1, x2, x3, c1, c2
 

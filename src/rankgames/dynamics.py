@@ -4,7 +4,8 @@ A dynamics run repeatedly lets one author switch topics to strictly raise her
 own utility, until no author can (a pure Nash equilibrium), a profile repeats
 (deterministic schedulers only, certifying an improvement cycle), or the step
 budget runs out. Deterministic schedulers pick the improving topic of lowest
-index; the seeded random scheduler picks uniformly among improving moves.
+index; the first deviator is round-robin restarted at author 1 before every
+step. The seeded random scheduler picks uniformly among improving moves.
 
 Responses are evaluated with the deviation kernel (model.profile_state). A
 run builds one ProfileState, for its initial profile, and moves it with each
@@ -19,12 +20,13 @@ deviation costs O(1) under prp and rand and O(writers on the target topic)
 under scoring. The all-starts pass, which visits every profile anyway,
 keeps one state and the moves per profile instead.
 
-Every reader decides a move by one comparison, better(u1, u0) from _gain,
-and for best response by one lowest-index argmax, _best_move. Under prp
-and rand the kernel's utilities are ints over the game's scale S, so at
-margin 0 better is one int comparison; above 0 both sides go through
-improves as Fractions. Fractions are built only for what the API hands
-out: better_responses' values and the Step utilities (kernel.value).
+Every reader decides a move by one comparison, better(u1, u0) from
+model._gain, the rule the improvement graph uses too, and for best
+response by one lowest-index argmax, _best_move. Under prp and rand the
+kernel's utilities are ints over the game's scale S, so at margin 0 better
+is one int comparison; above 0 both sides go through improves as
+Fractions. Fractions are built only for what the API hands out:
+better_responses' values and the Step utilities (kernel.value).
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from .model import (
     Profile,
     ProfileState,
     _Record,
+    _gain,
     _set,
     check_profile,
     check_tolerance,
     _check_mover,
     format_number,
-    improves,
     iter_profiles,
     profile_state,
     replace_topic,
@@ -117,9 +119,6 @@ class FirstDeviator(_Record):
 
     __slots__ = ()
 
-    def __init__(self):
-        pass
-
 
 class RandomOrder(_Record):
     """Pick uniformly at random among all improving moves; seeded."""
@@ -166,18 +165,6 @@ DynamicsOutcome = ConvergedPNE | RepeatDetected | BudgetExhausted
 
 
 # ---------- response computation ----------
-
-def _gain(kernel, margin: float):
-    """better(u1, u0): whether kernel utility u1 strictly improves on u0
-    beyond the margin; an equal pair never does."""
-    if not margin:
-        return gt
-    value = kernel.value
-
-    def better(u1, u0):
-        return improves(value(u0), value(u1), margin)
-    return better
-
 
 def _improving_moves(state: ProfileState, j: int, better):
     """(t, u_before, u_after) for each topic t that strictly improves author
@@ -312,17 +299,18 @@ def run_dynamics(
     if response not in (BETTER, BEST):
         raise ValidationError(f"unknown response mode {response!r}")
 
-    if isinstance(sched, RoundRobin):
-        order = sched.order if sched.order is not None else tuple(range(1, game.n + 1))
-        if sorted(order) != list(range(1, game.n + 1)):
+    n = game.n
+    authors = range(1, n + 1)
+    order = tuple(authors)
+    if isinstance(sched, RoundRobin) and sched.order is not None:
+        order = sched.order
+        if sorted(order) != list(authors):
             raise ValidationError("round-robin order must be a permutation of the authors")
-    elif not isinstance(sched, (FirstDeviator, RandomOrder)):
+    elif not isinstance(sched, (RoundRobin, FirstDeviator, RandomOrder)):
         raise ValidationError(f"unknown scheduler {sched!r}")
     first = isinstance(sched, FirstDeviator)
     deterministic = not isinstance(sched, RandomOrder)
     rng = None if deterministic else random.Random(sched.seed)
-    n = game.n
-    authors = range(1, n + 1)
 
     init = a
     steps: list[Step] = []
@@ -339,13 +327,9 @@ def run_dynamics(
     while True:
         # pick the mover and her move
         move = None
-        if first:
-            for j in authors:
-                got = _move_for(state, j, response, better)
-                if got is not None:
-                    move = (j, *got)
-                    break
-        elif deterministic:
+        if first:  # round-robin restarted at author 1 before every step
+            ptr = idle = 0
+        if deterministic:
             while idle < n:
                 j = order[ptr]
                 ptr = (ptr + 1) % n

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
@@ -108,8 +109,8 @@ def generate_random_game(
     """
     if n < 1 or m < 1:
         raise ValidationError("need at least one author and one topic")
-    if denominator_bound < 1:
-        raise ValidationError("denominator_bound must be positive")
+    if not 1 <= denominator_bound < sys.maxsize:  # random.sample takes len(range(bound))
+        raise ValidationError(f"denominator_bound must be positive and below {sys.maxsize}")
     if generic_Q and n * m > denominator_bound + 1:
         raise ValidationError("denominator_bound too small for distinct quality entries")
     if sorted_D and m > denominator_bound:

@@ -13,13 +13,14 @@ score function in floating point; everything else stays rational.
 Every utility is computed by one deviation kernel: a ProfileState holds the
 per-topic aggregates of a profile, from which any author's utility after a
 single-topic move follows in O(1) under prp and rand and in O(writers on the
-target topic) under scoring. move(j, t) follows a run from profile to
-profile, updating the aggregates of the two topics a move touches in place.
-Under prp and rand its utilities are ints over one per-game scale S,
-compared as ints; Fractions are built only where the API hands a utility
-out. The exhaustive analyses read every profile's utilities from one
-column store per game, built from the kernel's aggregates once they have
-checked the enumeration budget.
+target topic) under scoring; rand runs on prp's state with every quality
+tied. move(j, t) follows a run from profile to profile, updating the
+aggregates of the two topics a move touches in place. Under prp and rand
+its utilities are ints over one per-game scale S; _gain decides every
+improvement, in the dynamics and the graph alike, and Fractions are built
+only where the API hands a utility out. The exhaustive analyses read
+utilities from one writer-set table per game, built from the kernel's
+aggregates once they have checked the enumeration budget.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import chain, product, repeat
-from operator import floordiv, mul, or_
+from operator import floordiv, gt, mul, or_
 
 from .errors import ValidationError
 
@@ -128,6 +129,18 @@ def improves(u_old, u_new, margin: float = 0.0) -> bool:
         # 0.0 * Fraction would convert through Fraction.from_float
         return u_new > u_old
     return u_new - u_old > margin * max(abs(u_old), abs(u_new))
+
+
+def _gain(kernel: _Kernel, margin: float):
+    """better(u1, u0): whether kernel utility u1 strictly improves on u0
+    beyond the margin; an equal pair never does."""
+    if not margin:
+        return gt
+    value = kernel.value
+
+    def better(u1, u0):
+        return improves(value(u0), value(u1), margin)
+    return better
 
 
 def check_tolerance(x, name: str = "margin"):
@@ -294,8 +307,8 @@ class Game(_Record):
 
     All operations over it are pure; _cache, which == and hash ignore, only
     memoizes: the deviation kernel's tables ("kernel"), the writer-set table
-    the potential scan reads ("writer_sets") and the utility columns the graph
-    expands from it ("columns", see _utility_columns), and the Fraction tuples."""
+    that the potential scan reads and the graph expands into utility columns
+    ("writer_sets"), and the Fraction tuples."""
 
     __match_args__ = (
         "demand_den", "demand_num", "quality_den", "quality_num", "mediator", "scheme"
@@ -419,7 +432,8 @@ class _Kernel:
     """Per-game tables of the deviation kernel, built once per game.
 
     prp: each quality's numerator over its column's denominator, so
-    top-quality comparisons are integer comparisons.
+    top-quality comparisons are integer comparisons. rand: every key 0, so
+    all writers on a topic tie at the top and split it evenly.
     scoring: f(q) per topic column, float demand and quality, each num / den,
     which is float(Fraction(num, den)) bit for bit.
     prp and rand: the shares D_t/h (times q_jt under action) as ints over
@@ -445,12 +459,11 @@ class _Kernel:
             self.scale = game.demand_den * math.lcm(*range(1, game.n + 1))
             if self.action:
                 self.scale *= math.lcm(*game.quality_den)
-        if kind == "prp":
-            self.qkey = [list(row) for row in zip(*game.quality_num)]
+            # rand is prp with every quality key tied
+            keys = game.quality_num if kind == "prp" else [[0] * game.n] * game.m
+            self.qkey = [list(row) for row in zip(*keys)]
             self.qualities = None
             self.state_class = _TopRankState
-        elif kind == "rand":
-            self.state_class = _UniformState
         else:
             f = game.mediator.f
             self.demand_f = [x / game.demand_den for x in game.demand_num]
@@ -575,26 +588,6 @@ class _TopRankState(ProfileState):
             ties[t - 1] += 1
 
 
-class _UniformState(ProfileState):
-    # per topic: the number of writers
-    __slots__ = ("count",)
-
-    def __init__(self, kernel, a):
-        super().__init__(kernel, a)
-        count = [0] * kernel.m
-        for t in a:
-            count[t - 1] += 1
-        self.count = count
-
-    def utility(self, j, t):
-        return self.kernel.share(j, t, self.count[t - 1] + (self.a[j - 1] != t))
-
-    def move(self, j, t):
-        self.count[self.a[j - 1] - 1] -= 1
-        self.count[t - 1] += 1
-        self.a = replace_topic(self.a, j, t)
-
-
 class _ScoringState(ProfileState):
     # per topic: its writers as 0-based author indices, ascending, and their
     # score total in that order, or None until a writer's utility asks for it
@@ -677,26 +670,22 @@ def _topic_masks(n: int, m: int, t: int, base: int = 0) -> list[int]:
     return mask
 
 
-def _utility_columns(game: Game) -> tuple[list[list], int | None]:
-    """(cols, S), expanded once per game from the writer-set table: cols[j][x]
-    is author j+1's utility at profile x, an entry as in _writer_set_table.
-    m^n * n entries, so only callers that have checked the enumeration
-    budget may ask for it."""
-    store = game._cache.get("columns")
-    if store is None:
-        by_set, scale = _writer_set_table(game)
-        n, m = game.n, game.m
-        # at[x][t]: t << n | the writers on topic t+1 at profile x
-        at = list(zip(*(_topic_masks(n, m, t, t << n) for t in range(m))))
-        cols = []
-        for j in range(n):
-            # author j+1's topic at every profile, and j+1's entries keyed as in at
-            w = m ** (n - 1 - j)
-            topic = list(chain.from_iterable([t] * w for t in range(m))) * m**j
-            look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
-            cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
-        store = game._cache["columns"] = (cols, scale)
-    return store
+def _utility_columns(game: Game) -> list[list]:
+    """cols[j][x]: author j+1's utility at profile x, expanded from the
+    writer-set table, whose entries they are. m^n * n entries, cached
+    nowhere: only callers that have checked the enumeration budget ask."""
+    by_set, _ = _writer_set_table(game)
+    n, m = game.n, game.m
+    # at[x][t]: t << n | the writers on topic t+1 at profile x
+    at = list(zip(*(_topic_masks(n, m, t, t << n) for t in range(m))))
+    cols = []
+    for j in range(n):
+        # author j+1's topic at every profile, and j+1's entries keyed as in at
+        w = m ** (n - 1 - j)
+        topic = list(chain.from_iterable([t] * w for t in range(m))) * m**j
+        look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
+        cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
+    return cols
 
 
 def utility(game: Game, a, j: int):
@@ -727,8 +716,9 @@ def score_from_dict(d) -> ScoreFunction:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValidationError("score function document needs a 'kind'")
     param = d.get("param")
-    if param is not None and (isinstance(param, bool) or not isinstance(param, (int, float))):
-        raise ValidationError("score function 'param' must be a number")
+    if param is not None and (isinstance(param, bool) or not isinstance(param, (int, float))
+                              or abs(param) > sys.float_info.max):
+        raise ValidationError("score function 'param' must be a number in the float range")
     return ScoreFunction(d["kind"], None if param is None else float(param))
 
 

@@ -1,9 +1,20 @@
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rankgames as rg
 from rankgames.cli import main
+from rankgames.harness import CHECKS
+from rankgames.model import mediator_to_dict
 
 
 @pytest.fixture
@@ -235,3 +246,119 @@ def test_unreadable_and_malformed_json_messages(command, tmp_path, capsys):
     bad.write_text('{"n": ' + "1" * 5000 + "}")
     assert main([command, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad} is not valid JSON: ")
+
+
+# ---------- mutated documents and flags ----------
+
+# JSON number tokens written into a document as they are: non-finite and
+# out-of-range floats, an int beyond 64 bits and one beyond the digit limit
+_TOKENS = ("NaN", "Infinity", "-Infinity", "1e400", "1e308", "-1e308", "5e-324",
+           "1" * 30, "1" * 5000)
+_SWAPS = ("x", "1/0", [], {}, None, True, 0, -1, 2.5, [[]])
+_FLOATS = ("0", "1e-3", "-1", "nan", "inf", "-inf", "1e308", "1e400", "5e-324")
+
+_MEDIATORS = [rg.PRP, rg.RAND, rg.Mediator.scoring(rg.ScoreFunction.power(2.0)),
+              rg.Mediator.scoring(rg.ScoreFunction.exponential(1.0))]
+
+
+def _paths(node, path=()):
+    """The path of every key and entry below node, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc, fixed=()):
+    """doc as JSON text after one to three mutations, each of which drops a
+    key or entry, swaps its value for one of another type, or writes a
+    token of _TOKENS in its place; the paths in fixed stay as they are."""
+    doc = copy.deepcopy(doc)
+    tokens = []
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(doc) if p not in fixed]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = reduce(getitem, path[:-1], doc)
+        how = draw(st.sampled_from(("drop", "swap", "token")))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "swap":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
+        else:
+            parent[path[-1]] = f"@token{len(tokens)}@"
+            tokens.append(draw(st.sampled_from(_TOKENS)))
+    text = json.dumps(doc)
+    for i, token in enumerate(tokens):
+        text = text.replace(f'"@token{i}@"', token)
+    return text
+
+
+@st.composite
+def _runs(draw):
+    """(argv, document text) for one analyze, simulate or suite call."""
+    mediator = draw(st.sampled_from(_MEDIATORS))
+    scheme = draw(st.sampled_from((rg.EXPOSURE, rg.ACTION)))
+    seed = draw(st.integers(0, 10**6))
+    command = draw(st.sampled_from(("analyze", "simulate", "suite")))
+    if command == "suite":
+        config = {"seed": seed, "games": 2, "n_range": [1, 3], "m_range": [1, 3],
+                  "mediator": mediator_to_dict(mediator), "scheme": scheme,
+                  "checks": list(CHECKS), "budget": 1000, "generic_Q": draw(st.booleans()),
+                  "sorted_D": draw(st.booleans()), "denominator_bound": 60}
+        # the game count asks for that much work: a large one is no bad input
+        return ["suite"], draw(_mutated(config, fixed={("games",)}))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    game = rg.generate_random_game(seed, n, m, generic_Q=draw(st.booleans()), sorted_D=False,
+                                   denominator_bound=60, mediator=mediator, scheme=scheme)
+    doc = draw(_mutated(rg.game_to_dict(game)) | st.just(json.dumps(rg.game_to_dict(game))))
+
+    def flag(name, valid, *odd):
+        # half the time a valid value; --flag=value, so that argparse reads
+        # "-1" as a value, not as an option
+        return f"--{name}={draw(st.just(valid) | st.sampled_from(odd))}"
+
+    if command == "analyze":
+        argv = ["analyze", flag("budget", "1000", "-1", "0", "1", "1" * 30),
+                flag("margin", "0", *_FLOATS), flag("tol", "1e-9", *_FLOATS)]
+    else:
+        init = ",".join(map(str, draw(st.lists(st.integers(1, m), min_size=n, max_size=n))))
+        order = ",".join(map(str, range(n, 0, -1)))
+        argv = ["simulate", flag("init", init, "0,1", "a", "", "1" * 30),
+                flag("scheduler", "round-robin", "first-deviator", "random"),
+                flag("seed", "0", "-5", "1" * 30), flag("response", "better", "best"),
+                flag("margin", "0", *_FLOATS), flag("order", order, "2,1", "1,1", "x"),
+                flag("max-steps", "100", "3", "1", "0", "-1")]
+    return argv, doc
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_runs())
+# a score param beyond the float range, and a denominator bound whose range
+# has no len(), each used to escape as an OverflowError
+@example((["analyze"], '{"D": ["1/1"], "Q": [["1/2"]], "utility": "exposure", "mediator": '
+                       '{"kind": "scoring", "f": {"kind": "power", "param": 1' + "0" * 400 + '}}}'))
+@example((["suite"], '{"seed": 0, "games": 2, "n_range": [1, 3], "m_range": [1, 3], '
+                     '"generic_Q": false, "denominator_bound": 1' + "0" * 30 + '}'))
+def test_mutated_documents_and_flags_exit_0_2_or_3(run):
+    argv, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([argv[0], path, *argv[1:]])
+    assert code in (0, 2, 3)
+    # a run whose step budget ran out says so in its summary line instead
+    lines = out.getvalue().splitlines()
+    if code == 3 and argv[0] == "simulate" and json.loads(lines[-1])["outcome"] == "budget_exhausted":
+        return
+    if code:
+        assert err.getvalue().startswith("error: ")
