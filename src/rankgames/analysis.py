@@ -571,6 +571,12 @@ def analysis_report(
 ) -> dict:
     """Full analysis as a JSON-ready dict: fip (+ cycle witness), pne list,
     longest path (acyclic case), and the exact-potential report."""
+    return _analysis(game, budget, margin, tol)[0]
+
+
+def _analysis(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0,
+              tol: float = 1e-9) -> tuple[dict, ImprovementGraph]:
+    """analysis_report's dict and the improvement graph it was read from."""
     graph = improvement_graph(game, budget, margin)
     # one topological sort per graph: it fails only on a cyclic one
     try:
@@ -592,4 +598,4 @@ def analysis_report(
         "residual": format_number(pot.worst_residual),
         "witness": witness,
     }
-    return report
+    return report, graph

@@ -158,8 +158,16 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and its subcommands' parsers, that report a
+    rejected argument in one line, as main reports every other error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankgames",
         description="Strategic content games: analysis, dynamics, counterexamples.",
     )
@@ -222,7 +230,10 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:  # a rejected argument (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except BudgetExceededError as exc:

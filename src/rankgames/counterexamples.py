@@ -363,9 +363,8 @@ def build_band_cycle_game(
     if not 0 < x1 <= 1:
         raise ValidationError("x1 must lie in (0, 1]")
     slack = 1e-9 * max(1.0, beta)
-    for i in range(1001):
-        x = i / 1000
-        fx = f(x)
+    grid = [i / 1000 for i in range(1001)]
+    for x, fx in zip(grid, f.column(grid)):
         if not (alpha * x - slack <= fx <= beta * x + slack):
             raise PreconditionError(
                 f"score function leaves the band [alpha*x, beta*x] at x = {x}"

@@ -10,15 +10,14 @@ step. The seeded random scheduler picks uniformly among improving moves.
 Responses are evaluated with the deviation kernel (model.profile_state). A
 run builds one ProfileState, for its initial profile, and moves it with each
 step (ProfileState.move), updating only the two topics the step touches.
-The run's memo (_RunMemo) keeps one column of utilities per topic, which a
-move from s to t drops for s and t only. Round-robin and the first
-deviator stop at the first improving author, so they fill an entry when
-first asked for. The random scheduler reads all n*(m-1) deviations at
-every step, so it refills the two columns in full, 2n kernel calls per
-step, and compares whole columns against the authors' own utilities. A
-deviation costs O(1) under prp and rand and O(writers on the target topic)
-under scoring. The all-starts pass, which visits every profile anyway,
-keeps one state and the moves per profile instead.
+Round-robin and the first deviator stop at the first improving author and
+ask the state itself; a deviation costs O(1) under prp and rand and
+O(writers on the target topic) under scoring. The random scheduler reads
+all n*(m-1) deviations at every step, so its memo (_RunMemo) keeps one
+column of utilities per topic, refills the two columns a move touches, 2n
+kernel calls per step, and compares whole columns against the authors' own
+utilities. The suite's check of every start (_converge_on_graph) builds no
+state: it reads each run off the improvement graph of the game's analysis.
 
 Every reader decides a move by one comparison, better(u1, u0) from
 model._gain, the rule the improvement graph uses too, and for best
@@ -34,7 +33,6 @@ from __future__ import annotations
 import json
 import random
 from itertools import chain, compress, product
-from operator import gt
 
 from .errors import ValidationError
 from .model import (
@@ -49,7 +47,6 @@ from .model import (
     check_tolerance,
     _check_mover,
     format_number,
-    iter_profiles,
     profile_state,
     replace_topic,
 )
@@ -224,48 +221,33 @@ def _move_for(state: ProfileState, j: int, response: str, better):
 # ---------- the run loop ----------
 
 class _RunMemo:
-    """A run's one kernel state, moved with the run, and the utilities it
-    has given: cols[t-1][j-1] is state.utility(j, t), or None until asked
-    for.
+    """The random scheduler's kernel state, moved with its run, and one
+    column of utilities per topic: cols[t-1][j-1] is state.utility(j, t).
 
     An entry depends only on the writers of topic t besides author j, so a
-    move from s to t drops the columns of s and t and keeps every other
-    entry, the mover's own included. A full memo, the random scheduler's,
-    refills those two columns at once, 2n kernel calls per move, and the
-    scheduler reads cols directly. A lazy one fills an entry when
-    utility(j, t) first asks for it, read like a ProfileState through
-    utility(j, t), a and kernel. The schedulers that stop at the first
-    improving author need it: a 15-step round-robin run at n=100, m=10
-    from a crowded start makes 32 to 160 kernel calls, where full columns
-    make 4,000 and made simulate's round-robin jobs 1.5 to 2.9 times slower.
+    move from s to t refills the columns of s and t, 2n kernel calls, and
+    keeps every other entry, the mover's own included. The scheduler reads
+    all n*(m-1) deviations at every step, so it compares whole columns
+    against the authors' own utilities. Round-robin and the first deviator
+    stop at the first improving author and read the state itself. A lazy
+    memo for them hit none of the round-robin lookups in the benchmark's
+    simulate jobs and 9.6% of the 158k lookups in one pass of its sweep's
+    convergence audit (seed 0), where a prp or rand deviation costs O(1).
     """
 
-    __slots__ = ("state", "kernel", "a", "cols", "full")
+    __slots__ = ("state", "cols")
 
-    def __init__(self, state: ProfileState, full: bool):
+    def __init__(self, state: ProfileState):
         self.state = state
-        self.kernel = state.kernel
-        self.a = state.a
-        self.full = full
         self.cols = [self._column(t) for t in state.kernel.topics]
 
     def _column(self, t: int) -> list:
-        if not self.full:
-            return [None] * len(self.a)
         u = self.state.utility
-        return [u(j, t) for j in range(1, len(self.a) + 1)]
-
-    def utility(self, j: int, t: int):
-        col = self.cols[t - 1]
-        u = col[j - 1]
-        if u is None:
-            u = col[j - 1] = self.state.utility(j, t)
-        return u
+        return [u(j, t) for j in range(1, len(self.state.a) + 1)]
 
     def move(self, j: int, t: int):
-        s = self.a[j - 1]
+        s = self.state.a[j - 1]
         self.state.move(j, t)
-        self.a = self.state.a
         self.cols[s - 1] = self._column(s)
         self.cols[t - 1] = self._column(t)
 
@@ -318,10 +300,11 @@ def run_dynamics(
     repeat_seen = False
     ptr = 0  # round-robin position
     idle = 0  # consecutive round-robin visits without a move
-    state = _RunMemo(profile_state(game, a), full=not deterministic)
+    state = profile_state(game, a)
     value = state.kernel.value
     better = _gain(state.kernel, margin)
     if not deterministic:
+        memo = _RunMemo(state)
         pairs = list(product(authors, state.kernel.topics))
 
     while True:
@@ -344,7 +327,7 @@ def run_dynamics(
             # _improving_moves gives them, flagged by one map of better per
             # column; an entry equal to the author's own utility, her own
             # topic's included, is no improvement
-            cols = state.cols
+            cols = memo.cols
             u0 = [cols[s - 1][i] for i, s in enumerate(a)]
             if response == BETTER:
                 flags = chain.from_iterable(zip(*[map(better, col, u0) for col in cols]))
@@ -364,7 +347,10 @@ def run_dynamics(
 
         j, t, u0, u1 = move
         steps.append(Step(len(steps) + 1, j, a[j - 1], t, value(u0), value(u1)))
-        state.move(j, t)
+        if deterministic:
+            state.move(j, t)
+        else:
+            memo.move(j, t)
         a = state.a
         if a in seen:
             if deterministic:
@@ -377,70 +363,80 @@ def run_dynamics(
 
 # ---------- every start at once ----------
 
-_UNSEEN = object()
-
-
-def _converge_from_every_start(game: Game) -> tuple[bool, int]:
+def _converge_on_graph(graph, fip: bool, max_steps: int) -> tuple[bool, int]:
     """(converged, worst) over the better-response runs at margin 0 from
     every start under RoundRobin() and FirstDeviator(): whether all of them
-    converge within default_max_steps, and the most steps any of them takes.
+    converge within max_steps, and the most steps a converged one takes.
 
-    Valid only when the improvement graph is acyclic. No run can then revisit
-    a profile, so the steps still to go depend only on the run's state: the
-    profile and the next round-robin position, or the profile alone for the
-    first deviator. One memo per scheduler gives every start in one
-    iterative pass. Both share one kernel state per profile and each
-    author's move there, computed when first asked for.
+    The runs are read off the game's improvement graph at margin 0, graph,
+    whose acyclicity is fip; no kernel state is built. Author j's moves at
+    profile x go to x + (t - a_j) * m**(n-j), which rises with t, and the
+    out-lists are sorted, so author j's lowest-index better response is
+    the first out-edge of x that changes digit j. A run's state is its profile and
+    the next round-robin position, always 0 for the first deviator. On an
+    acyclic graph no run revisits a profile, so the steps still to go
+    depend only on that state, and one memo per scheduler gives every
+    start in one pass. On a cyclic graph a repeat is keyed by profile, not
+    by run state, so each start is walked on its own with the profiles it
+    has seen.
     """
-    n = game.n
-    seen: dict[Profile, tuple] = {}  # profile -> (state, per-author next profile)
+    n, m = graph.game.n, graph.game.m
+    author = {k * m ** (n - 1 - j): j for j in range(n) for k in range(1 - m, m) if k}
+    # succ[x][j]: the profile after author j+1's better response at x, or None
+    succ = []
+    for x, out in enumerate(graph.adj):
+        row = [None] * n
+        for y in reversed(out):
+            row[author[y - x]] = y
+        succ.append(row)
 
-    def move(a: Profile, j: int):
-        """The profile after author j+1's better response at a, or None."""
-        got = seen.get(a)
-        if got is None:
-            got = seen[a] = (profile_state(game, a), [_UNSEEN] * n)
-        state, succ = got
-        b = succ[j]
-        if b is _UNSEEN:
-            mv = _move_for(state, j + 1, BETTER, gt)
-            b = succ[j] = None if mv is None else replace_topic(a, j + 1, mv[0])
-        return b
-
-    def next_round_robin(key):
-        a, p = key
+    def after(key: int, first: bool):
+        """The run state x * n + p after state key, or None at a PNE."""
+        x, p = divmod(key, n)
+        row = succ[x]
         for k in range(p, p + n):
-            b = move(a, k % n)
-            if b is not None:
-                return b, (k + 1) % n
+            y = row[k % n]
+            if y is not None:
+                return y * n + (0 if first else (k + 1) % n)
         return None
 
-    def next_first_deviator(a):
-        got = next_round_robin((a, 0))
-        return got and got[0]
+    def alone(key: int, first: bool):
+        """The steps from state key to a PNE, or None when the run repeats
+        a profile."""
+        seen, steps = {key // n}, 0
+        while (key := after(key, first)) is not None:
+            if key // n in seen:
+                return None
+            seen.add(key // n)
+            steps += 1
+        return steps
 
-    worst = 0
-    starts = list(iter_profiles(n, game.m))
-    for step, keys in (
-        (next_round_robin, [(a, 0) for a in starts]),
-        (next_first_deviator, starts),
-    ):
-        memo = {}  # run state -> steps still to go
-        for key in keys:
-            path = []
-            while key not in memo:
-                nxt = step(key)
-                if nxt is None:
-                    memo[key] = 0
-                    break
-                path.append(key)
-                key = nxt
-            r = memo[key]
-            for k in reversed(path):
-                r += 1
-                memo[k] = r
-        worst = max(worst, max(memo[k] for k in keys))
-    return worst <= default_max_steps(game), worst
+    def memoized(key: int, first: bool, togo: dict) -> int:
+        """The steps from state key to a PNE, with togo[state] the steps
+        still to go from every state walked so far."""
+        path = []
+        while key not in togo:
+            nxt = after(key, first)
+            if nxt is None:
+                togo[key] = 0
+                break
+            path.append(key)
+            key = nxt
+        steps = togo[key]
+        for k in reversed(path):
+            steps += 1
+            togo[k] = steps
+        return steps
+
+    runs = []
+    for first in (False, True):
+        togo: dict[int, int] = {}
+        runs += [memoized(x * n, first, togo) if fip else alone(x * n, first)
+                 for x in range(len(succ))]
+    # a run converges when it reaches a PNE within max_steps; one that
+    # repeats a profile does not, before or after the budget runs out
+    done = [r for r in runs if r is not None and r <= max_steps]
+    return len(done) == len(runs), max(done, default=0)
 
 
 # ---------- serialization ----------

@@ -24,7 +24,6 @@ from .model import (
     Mediator,
     PRP,
     Profile,
-    iter_profiles,
     make_game,
     mediator_from_dict,
     mediator_to_dict,
@@ -32,14 +31,8 @@ from .model import (
     _Record,
     _set,
 )
-from .dynamics import (
-    ConvergedPNE,
-    FirstDeviator,
-    RoundRobin,
-    _converge_from_every_start,
-    run_dynamics,
-)
-from .analysis import analysis_report
+from .dynamics import _converge_on_graph, default_max_steps
+from .analysis import _analysis
 
 
 # ---------- the worked example ----------
@@ -195,6 +188,8 @@ class ExperimentConfig(_Record):
                  generic_Q: bool = True, sorted_D: bool = True, denominator_bound: int = 1000):
         if games < 0:
             raise ValidationError("games must be nonnegative")
+        if games > DEFAULT_BUDGET:
+            raise ValidationError(f"games must be at most {DEFAULT_BUDGET}, got {games}")
         for name, (lo, hi) in (("n_range", n_range), ("m_range", m_range)):
             if not 1 <= lo <= hi:
                 raise ValidationError(f"{name} must satisfy 1 <= lo <= hi")
@@ -299,26 +294,15 @@ class ExperimentReport(_Record):
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def _converge_per_start(game: Game) -> tuple[bool, int]:
-    """(converged, worst) over better-response runs from every start under
-    RoundRobin() and FirstDeviator(), one run_dynamics call per run."""
-    worst = 0
-    converged = True
-    for init in iter_profiles(game.n, game.m):
-        for sched in (RoundRobin(), FirstDeviator()):
-            outcome = run_dynamics(game, init, sched)
-            if isinstance(outcome, ConvergedPNE):
-                worst = max(worst, outcome.steps_taken)
-            else:
-                converged = False
-    return converged, worst
-
-
 def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run the configured checks over seeded random games.
 
-    Every game gets one full analysis_report; the checks choose the row's
-    columns. Per-game budget overruns are recorded in the row, not raised.
+    Every game gets one full analysis, analysis_report's, and the checks
+    choose the row's columns. The dynamics check reads every start's
+    round-robin and first-deviator run off that analysis's improvement
+    graph (dynamics._converge_on_graph): it builds no kernel state and
+    calls no run_dynamics.
+    Per-game budget overruns are recorded in the row, not raised.
     When out_dir is given, writes report.csv and report.json there.
     """
     rng = random.Random(config.seed)
@@ -341,8 +325,8 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
         row = {"seed": game_seed, "n": n, "m": m,
                "mediator": config.mediator.kind, "scheme": config.scheme}
         try:
-            # every check reads the one full analysis
-            analysis = analysis_report(game, config.budget)
+            # every check reads the one full analysis and its graph
+            analysis, graph = _analysis(game, config.budget)
             acyclic = analysis["fip"]
             if "fip" in config.checks:
                 row["fip"] = acyclic
@@ -355,12 +339,7 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
             if "potential" in config.checks:
                 row["potential_exists"] = analysis["potential"]["exists"]
             if "dynamics" in config.checks:
-                if acyclic:
-                    converged, worst = _converge_from_every_start(game)
-                else:
-                    # a repeat is keyed by profile, not by run state, so
-                    # cyclic games run from each start on their own
-                    converged, worst = _converge_per_start(game)
+                converged, worst = _converge_on_graph(graph, acyclic, default_max_steps(game))
                 row["dynamics_converged"] = converged
                 if converged:
                     row["steps_to_converge"] = worst

@@ -42,8 +42,9 @@ EXPOSURE = "exposure"
 ACTION = "action"
 SCHEMES = (EXPOSURE, ACTION)
 
-# Bound on the profiles an exhaustive analysis enumerates and on the steps a
-# dynamics run takes when no step budget is given.
+# Bound on the profiles an exhaustive analysis enumerates, on the steps a
+# dynamics run takes when no step budget is given, and on the games an
+# experiment suite runs.
 DEFAULT_BUDGET = 10**6
 
 
@@ -230,15 +231,20 @@ class ScoreFunction(_Record):
         _set(self, "param", param)
 
     def __call__(self, x: float) -> float:
-        if self.kind == "constant":
-            return 1.0
-        if self.kind == "identity":
-            return float(x)
-        if self.kind == "power":
-            return float(x) ** self.param
-        if self.kind == "exponential":
-            return math.exp(self.param * float(x))
-        return math.exp(float(x)) - 1.0
+        return self.column((x,))[0]
+
+    def column(self, xs) -> list[float]:
+        """f(x) for each x of xs, with the kind dispatched once."""
+        kind, p = self.kind, self.param
+        if kind == "constant":
+            return [1.0 for _ in xs]
+        if kind == "identity":
+            return [float(x) for x in xs]
+        if kind == "power":
+            return [float(x) ** p for x in xs]
+        if kind == "exponential":
+            return [math.exp(p * float(x)) for x in xs]
+        return [math.exp(float(x)) - 1.0 for x in xs]
 
     @classmethod
     def constant(cls):
@@ -469,7 +475,7 @@ class _Kernel:
             self.demand_f = [x / game.demand_den for x in game.demand_num]
             cols = [[x / den for x in col] for den, col in zip(game.quality_den, game.quality_num)]
             self.quality_f = list(zip(*cols))
-            self.score_cols = [list(map(f, col)) for col in cols]
+            self.score_cols = list(map(f.column, cols))
             # then every subset of a topic's writers has a finite score sum
             if not all(math.isfinite(sum(col)) for col in self.score_cols):
                 raise ValidationError("a topic's scores sum beyond the float range")

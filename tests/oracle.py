@@ -268,3 +268,21 @@ def naive_potential_check(game, tol=1e-9, residuals=None):
             worst, witness = res, subgame
     has = worst == 0 if exact else worst <= tol
     return rg.PotentialReport(has, worst, witness)
+
+
+# ---------- the suite's dynamics check ----------
+
+def converge_per_start(game, max_steps=None):
+    """(converged, worst) over the better-response runs from every start
+    under RoundRobin() and FirstDeviator(), one run_dynamics call per run:
+    whether every run converges, and the most steps a converged one takes."""
+    worst = 0
+    converged = True
+    for init in rg.iter_profiles(game.n, game.m):
+        for sched in (rg.RoundRobin(), rg.FirstDeviator()):
+            outcome = rg.run_dynamics(game, init, sched, max_steps)
+            if isinstance(outcome, rg.ConvergedPNE):
+                worst = max(worst, outcome.steps_taken)
+            else:
+                converged = False
+    return converged, worst

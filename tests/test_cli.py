@@ -102,6 +102,22 @@ def test_out_of_range_argument_exits_2(argv, game_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{game}", "--budget", "abc"],
+    # argparse reads "-1e-12" as an option, so --tol gets no value
+    ["analyze", "{game}", "--tol", "-1e-12"],
+    ["simulate", "{game}", "--init", "2,2", "--scheduler", "nope"],
+], ids=["analyze budget abc", "analyze tol -1e-12 as an option", "simulate scheduler nope"])
+def test_argument_rejected_by_the_parser_exits_2(argv, game_file, capsys):
+    assert main([a.format(game=game_file) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: argument ")
+
+
+def test_help_exits_0(capsys):
+    assert main(["analyze", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rankgames analyze")
+
+
 def test_analyze_tiny_budget_exits_3(game_file, capsys):
     assert main(["analyze", game_file, "--budget", "2"]) == 3
 
@@ -231,6 +247,14 @@ def test_suite_bad_config_exits_2(tmp_path, capsys):
         path.write_text(text)
         assert main(["suite", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad experiment config")
+
+
+def test_suite_beyond_the_game_bound_exits_2(tmp_path, capsys):
+    # rejected before any game is drawn, not a run of 10^30 games
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "games": 10**30, "n_range": [2, 2], "m_range": [2, 2]}))
+    assert main(["suite", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: games must be at most {rg.DEFAULT_BUDGET}, got {10**30}\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "suite"])

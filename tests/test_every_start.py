@@ -1,17 +1,18 @@
-"""The suite's dynamics check: steps-to-converge from every start in one pass.
+"""The suite's dynamics check: every start's run read off the improvement graph.
 
-On an acyclic improvement graph the pass must give the same (converged,
-worst) as one run_dynamics call per start and scheduler; on a cyclic graph
-the suite must run each start on its own.
+The walk over the graph's out-lists must give the same (converged, worst)
+as one run_dynamics call per start and scheduler, the per-start oracle, on
+acyclic and cyclic games and at any step budget.
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rankgames as rg
 from rankgames import harness
-from rankgames.dynamics import _converge_from_every_start
-from rankgames.harness import _converge_per_start
+from rankgames.dynamics import _converge_on_graph
+
+from oracle import converge_per_start
 
 POWER2 = rg.Mediator.scoring(rg.ScoreFunction.power(2.0))
 MEDIATORS = (
@@ -30,6 +31,19 @@ def _game(seed, n, m, mediator, scheme, tie_rich):
     )
 
 
+def _walk(game, max_steps=None):
+    graph = rg.improvement_graph(game)
+    fip = rg.has_fip(game)[0]
+    return _converge_on_graph(graph, fip, max_steps or rg.default_max_steps(game))
+
+
+def _assert_same(got, want):
+    """converged always; the step count only when every run converged."""
+    assert got[0] is want[0]
+    if want[0]:
+        assert got[1] == want[1]
+
+
 @st.composite
 def small_games(draw):
     return _game(
@@ -42,10 +56,12 @@ def small_games(draw):
     )
 
 
-@given(small_games())
-def test_pass_matches_per_start_runs(game):
-    assume(rg.has_fip(game)[0])
-    assert _converge_from_every_start(game) == _converge_per_start(game)
+@settings(max_examples=400)
+@given(small_games(), st.sampled_from((None, 1, 2, 3)))
+# a 3x3 prp game whose longest run takes 4 steps, so budget 3 fails it
+@example(_game(2, 3, 3, rg.PRP, rg.EXPOSURE, False), 3)
+def test_pass_matches_per_start_runs(game, max_steps):
+    _assert_same(_walk(game, max_steps), converge_per_start(game, max_steps))
 
 
 @pytest.mark.parametrize("mediator", MEDIATORS, ids=lambda med: med.kind + (f"-{med.f.kind}" if med.f else ""))
@@ -53,7 +69,11 @@ def test_pass_matches_per_start_runs(game):
 def test_pass_matches_per_start_runs_4x3(mediator, seed):
     game = _game(seed, 4, 3, mediator, (rg.EXPOSURE, rg.ACTION)[seed % 2], seed == 1)
     assert rg.has_fip(game)[0]
-    assert _converge_from_every_start(game) == _converge_per_start(game)
+    want = converge_per_start(game)
+    assert want[0]
+    assert _walk(game) == want
+    # one step short of the longest run
+    _assert_same(_walk(game, want[1] - 1), converge_per_start(game, want[1] - 1))
 
 
 # ---------- the suite ----------
@@ -78,16 +98,13 @@ CYCLIC_GAMES = {
 def test_cyclic_games_run_each_start(name, checks, monkeypatch):
     game = CYCLIC_GAMES[name]()
     assert not rg.has_fip(game)[0]
-
-    def pass_on_cyclic_graph(game):
-        raise AssertionError("the one-pass check ran on a cyclic game")
-
-    monkeypatch.setattr(harness, "_converge_from_every_start", pass_on_cyclic_graph)
+    converged, worst = converge_per_start(game)
     row = _suite_row(monkeypatch, game, checks)
-    converged, worst = _converge_per_start(game)
     assert row["dynamics_converged"] is converged
     assert row.get("steps_to_converge") == (worst if converged else None)
     assert row.get("fip", False) is False
+    for max_steps in (1, 2, 3):
+        _assert_same(_walk(game, max_steps), converge_per_start(game, max_steps))
 
 
 SUITE_CONFIGS = {
@@ -100,13 +117,19 @@ SUITE_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", SUITE_CONFIGS)
-def test_dynamics_only_suite_matches_per_start_runs(name, monkeypatch):
+def test_dynamics_only_suite_matches_per_start_runs(name):
     cfg = rg.ExperimentConfig(seed=7, games=12, checks=frozenset({"dynamics"}),
                               **SUITE_CONFIGS[name])
     report = rg.run_experiment_suite(cfg)
-    monkeypatch.setattr(harness, "_converge_from_every_start", _converge_per_start)
-    expected = rg.run_experiment_suite(cfg)
-    assert report.rows == expected.rows
-    assert report.aggregate == expected.aggregate
-    assert report.to_json() == expected.to_json()
+    steps = []
+    for row in report.rows:
+        game = rg.generate_random_game(
+            row["seed"], row["n"], row["m"], generic_Q=cfg.generic_Q, sorted_D=cfg.sorted_D,
+            denominator_bound=cfg.denominator_bound, mediator=cfg.mediator, scheme=cfg.scheme)
+        converged, worst = converge_per_start(game)
+        assert row["dynamics_converged"] is converged
+        assert row.get("steps_to_converge") == (worst if converged else None)
+        steps += [worst] if converged else []
+    assert report.aggregate["max_steps_to_converge"] == max(steps)
+    assert report.aggregate["mean_steps_to_converge"] == sum(steps) / len(steps)
     assert all("steps_to_converge" in row for row in report.rows)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -85,6 +86,30 @@ def test_score_function_kinds():
     assert rg.ScoreFunction.exponential(1.0)(0.0) == 1.0
     assert rg.ScoreFunction.exp_minus_one()(0.0) == 0.0
     assert math.isclose(rg.ScoreFunction.exp_minus_one()(1.0), math.e - 1)
+
+
+# the per-call definitions of each kind that ScoreFunction.column replaced
+PER_CALL = {
+    "constant": lambda x, p: 1.0,
+    "identity": lambda x, p: float(x),
+    "power": lambda x, p: float(x) ** p,
+    "exponential": lambda x, p: math.exp(p * float(x)),
+    "exp_minus_one": lambda x, p: math.exp(float(x)) - 1.0,
+}
+SCORES = [rg.ScoreFunction.constant(), rg.ScoreFunction.identity(),
+          *map(rg.ScoreFunction.power, (1e-3, 0.5, 2.0, 8.0, 300.0)),
+          *map(rg.ScoreFunction.exponential, (0.0, 3.0, 700.0)), rg.ScoreFunction.exp_minus_one()]
+
+
+@pytest.mark.parametrize("f", SCORES, ids=lambda f: f"{f.kind}-{f.param}")
+def test_score_column_is_bit_identical_to_the_per_call_definition(f):
+    rng = random.Random(f"{f.kind}-{f.param}")
+    xs = [0.0, 1.0, 5e-324, 1e-300, 0.5, *(i / 1000 for i in range(1001)),
+          *(rng.random() for _ in range(2000)), F(1, 3), 1]
+    want = [float.hex(PER_CALL[f.kind](x, f.param)) for x in xs]
+    assert list(map(float.hex, f.column(xs))) == want
+    assert [float.hex(f(x)) for x in xs] == want
+    assert f.column([]) == []
 
 
 def test_score_function_param_validation():
