@@ -28,7 +28,6 @@ from .model import (
     game_from_dict,
     game_to_dict,
     improves,
-    iter_profiles,
     make_game,
     replace_topic,
     utility,
@@ -62,6 +61,7 @@ from .analysis import (
     exact_potential_check,
     has_fip,
     improvement_graph,
+    iter_profiles,
     longest_improvement_path,
     path_invariant_report,
     potential_residual,

@@ -6,15 +6,23 @@ shortest-cycle witness, enumerates pure Nash equilibria, measures the longest
 improvement path, tests for an exact potential by the separability of
 every 2x2 subgame, checks per-step bounds on recorded trajectories, and
 reduces uniform-mediator exposure games to top-rank games with all-ones
-quality.
+quality. The suite's check of every start (_converge_on_graph) builds no
+kernel state: it reads each run off the improvement graph of the game's
+analysis, whose out-lists improvement_graph leaves sorted.
+
+The module owns the profile space: its canonical order, author 1 most
+significant (iter_profiles, profile_index, profile_at), and the per-game
+writer-set table (_writer_set_table), built from the kernel's aggregates
+once _check_budget has passed, from which the graph and the potential scan
+read every utility.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, compress, islice
-from operator import add, and_, getitem, sub
+from itertools import chain, combinations, compress, islice, product, repeat
+from operator import add, and_, getitem, or_, sub
 
 from .errors import (
     BudgetExceededError,
@@ -32,8 +40,6 @@ from .model import (
     check_tolerance,
     format_number,
     make_game,
-    profile_at,
-    profile_index,
     profile_state,
     replace_topic,
     utility_vector,
@@ -41,9 +47,6 @@ from .model import (
     _Record,
     _gain,
     _set,
-    _topic_masks,
-    _utility_columns,
-    _writer_set_table,
 )
 from .dynamics import Trajectory
 
@@ -57,6 +60,60 @@ def _check_budget(game: Game, budget: int):
         raise BudgetExceededError(
             f"{game.m}^{game.n} profiles exceed the enumeration budget {budget}"
         )
+
+
+# ---------- the profile space ----------
+
+def iter_profiles(n: int, m: int):
+    """All profiles in canonical order: author 1 most significant."""
+    return product(range(1, m + 1), repeat=n)
+
+
+def profile_index(a: Profile, m: int) -> int:
+    i = 0
+    for t in a:
+        i = i * m + (t - 1)
+    return i
+
+
+def profile_at(i: int, n: int, m: int) -> Profile:
+    out = []
+    for _ in range(n):
+        out.append(i % m + 1)
+        i //= m
+    return tuple(reversed(out))
+
+
+def _writer_set_table(game: Game) -> tuple[list, int | None]:
+    """(by_set, S), built once per game: by_set[t][j][W] is author j+1's
+    utility on topic t+1 when the authors in bit mask W (bit j for author
+    j+1) write on it, the kernel's int, the utility times S = kernel.scale,
+    under prp/rand and its float under scoring, where S is None. Only
+    callers that have checked the enumeration budget may ask for it."""
+    store = game._cache.get("writer_sets")
+    if store is None:
+        n, m = game.n, game.m
+        kernel = profile_state(game, (1,) * n).kernel
+        by_set = [[[None] * (1 << n) for _ in range(n)] for _ in range(m)]
+        full = (1 << n) - 1
+        # the state with W on topic t and the rest on the next gives two topics' entries
+        for t in range(1, m + 1, 2):
+            for W in range(1 << n):
+                a = tuple(t if W >> j & 1 else t % m + 1 for j in range(n))
+                state = kernel.state_class(kernel, a)
+                for j, k in enumerate(a):
+                    by_set[k - 1][j][W if k == t else full ^ W] = state.utility(j + 1, k)
+        store = game._cache["writer_sets"] = (by_set, kernel.scale)
+    return store
+
+
+def _topic_masks(n: int, m: int, t: int, base: int = 0) -> list[int]:
+    """base | the bit mask of the writers on topic t+1 (bit j for author j+1)
+    at every profile of n authors, in canonical order."""
+    mask = [base]
+    for j in reversed(range(n)):
+        mask = mask * t + list(map(or_, mask, repeat(1 << j))) + mask * (m - 1 - t)
+    return mask
 
 
 # ---------- improvement graph ----------
@@ -93,7 +150,19 @@ def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 
     _check_budget(game, budget)
     n, m = game.n, game.m
     size = m**n
-    cols = _utility_columns(game)
+    by_set, _ = _writer_set_table(game)
+    # cols[j][x]: author j+1's utility at profile x, the table's entry for
+    # j+1's topic and its writers at x; m^n * n entries, cached nowhere.
+    # at[x][t]: t << n | the writers on topic t+1 at profile x
+    at = list(zip(*(_topic_masks(n, m, t, t << n) for t in range(m))))
+    cols = []
+    for j in range(n):
+        # author j+1's topic at every profile, and j+1's entries keyed as in at
+        w = m ** (n - 1 - j)
+        topic = list(chain.from_iterable([t] * w for t in range(m))) * m**j
+        look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
+        cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
+    del at, topic, look  # m^n tuples and lists, freed before the adjacency grows
     better = _gain(profile_state(game, (1,) * n).kernel, margin)
     adj: list[list[int]] = [[] for _ in range(size)]
     # Author j moving d topics up moves the profile index by d * w. The
@@ -260,6 +329,84 @@ def longest_improvement_path(graph: ImprovementGraph) -> int:
     if best is None:
         raise CyclicGraphError("longest path is undefined on a cyclic graph")
     return best
+
+
+# ---------- every start at once ----------
+
+def _converge_on_graph(graph, fip: bool, max_steps: int) -> tuple[bool, int]:
+    """(converged, worst) over the better-response runs at margin 0 from
+    every start under RoundRobin() and FirstDeviator(): whether all of them
+    converge within max_steps, and the most steps a converged one takes.
+
+    The runs are read off the game's improvement graph at margin 0, graph,
+    whose acyclicity is fip; no kernel state is built. Author j's moves at
+    profile x go to x + (t - a_j) * m**(n-j), which rises with t, and
+    improvement_graph leaves the out-lists sorted, so author j's
+    lowest-index better response is the first out-edge of x that changes
+    digit j. A run's state is its profile and the next round-robin
+    position, always 0 for the first deviator. On an acyclic graph no run
+    revisits a profile, so the steps still to go depend only on that
+    state, and one memo per scheduler gives every start in one pass. On a
+    cyclic graph a repeat is keyed by profile, not by run state, so each
+    start is walked on its own with the profiles it has seen.
+    """
+    n, m = graph.game.n, graph.game.m
+    author = {k * m ** (n - 1 - j): j for j in range(n) for k in range(1 - m, m) if k}
+    # succ[x][j]: the profile after author j+1's better response at x, or None
+    succ = []
+    for x, out in enumerate(graph.adj):
+        row = [None] * n
+        for y in reversed(out):
+            row[author[y - x]] = y
+        succ.append(row)
+
+    def after(key: int, first: bool):
+        """The run state x * n + p after state key, or None at a PNE."""
+        x, p = divmod(key, n)
+        row = succ[x]
+        for k in range(p, p + n):
+            y = row[k % n]
+            if y is not None:
+                return y * n + (0 if first else (k + 1) % n)
+        return None
+
+    def alone(key: int, first: bool):
+        """The steps from state key to a PNE, or None when the run repeats
+        a profile."""
+        seen, steps = {key // n}, 0
+        while (key := after(key, first)) is not None:
+            if key // n in seen:
+                return None
+            seen.add(key // n)
+            steps += 1
+        return steps
+
+    def memoized(key: int, first: bool, togo: dict) -> int:
+        """The steps from state key to a PNE, with togo[state] the steps
+        still to go from every state walked so far."""
+        path = []
+        while key not in togo:
+            nxt = after(key, first)
+            if nxt is None:
+                togo[key] = 0
+                break
+            path.append(key)
+            key = nxt
+        steps = togo[key]
+        for k in reversed(path):
+            steps += 1
+            togo[k] = steps
+        return steps
+
+    runs = []
+    for first in (False, True):
+        togo: dict[int, int] = {}
+        runs += [memoized(x * n, first, togo) if fip else alone(x * n, first)
+                 for x in range(len(succ))]
+    # a run converges when it reaches a PNE within max_steps; one that
+    # repeats a profile does not, before or after the budget runs out
+    done = [r for r in runs if r is not None and r <= max_steps]
+    return len(done) == len(runs), max(done, default=0)
 
 
 # ---------- exact potential ----------

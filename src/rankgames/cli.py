@@ -80,10 +80,6 @@ def _make_scheduler(args):
 
 def _make_score(args) -> ScoreFunction:
     kind = args.f.replace("-", "_")
-    if args.param is not None and kind not in ("power", "exponential"):
-        raise ValidationError(f"--param is not accepted with --f {args.f}")
-    if kind == "power" and args.param is None:
-        raise ValidationError("--f power requires --param")
     if kind == "exponential" and args.param is None:
         return ScoreFunction.exponential(1.0)
     return ScoreFunction(kind, args.param)

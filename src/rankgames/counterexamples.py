@@ -24,10 +24,10 @@ from .model import (
     check_profile,
     check_tolerance,
     game_to_dict,
-    improves,
     make_game,
-    utility_vector,
+    profile_state,
     _Record,
+    _gain,
     _set,
 )
 
@@ -99,6 +99,9 @@ def verify_improvement_cycle(game: Game, profiles, margin: float = VERIFY_MARGIN
         raise ValidationError("a cycle needs at least two profiles")
     if profiles[0] != profiles[-1]:
         raise ValidationError("cycle profile list must end where it starts")
+    # one state moved along the cycle: j's deviation utility at a is her utility at b
+    state = profile_state(game, profiles[0])
+    better, value = _gain(state.kernel, margin), state.kernel.value
     steps = []
     ok = True
     for a, b in zip(profiles, profiles[1:]):
@@ -110,11 +113,11 @@ def verify_improvement_cycle(game: Game, profiles, margin: float = VERIFY_MARGIN
             ok = False
             continue
         j = movers[0]
-        u0 = utility_vector(game, a)[j - 1]
-        u1 = utility_vector(game, b)[j - 1]
-        good = improves(u0, u1, margin)
-        steps.append(CycleStep(j, u1 - u0, good))
+        u0, u1 = state.utility(j, a[j - 1]), state.utility(j, b[j - 1])
+        good = better(u1, u0)
+        steps.append(CycleStep(j, value(u1) - value(u0), good))
         ok = ok and good
+        state.move(j, b[j - 1])
     return ok, steps
 
 

@@ -9,15 +9,20 @@ step. The seeded random scheduler picks uniformly among improving moves.
 
 Responses are evaluated with the deviation kernel (model.profile_state). A
 run builds one ProfileState, for its initial profile, and moves it with each
-step (ProfileState.move), updating only the two topics the step touches.
-Round-robin and the first deviator stop at the first improving author and
-ask the state itself; a deviation costs O(1) under prp and rand and
-O(writers on the target topic) under scoring. The random scheduler reads
-all n*(m-1) deviations at every step, so its memo (_RunMemo) keeps one
-column of utilities per topic, refills the two columns a move touches, 2n
-kernel calls per step, and compares whole columns against the authors' own
-utilities. The suite's check of every start (_converge_on_graph) builds no
-state: it reads each run off the improvement graph of the game's analysis.
+step (ProfileState.move), updating only the two topics the step touches;
+every scheduler moves that one state. Round-robin and the first deviator
+stop at the first improving author and ask the state itself; a deviation
+costs O(1) under prp and rand and O(writers on the target topic) under
+scoring. The random scheduler reads all n*(m-1) deviations at every step,
+so it keeps one column of utilities per topic as a local list and compares
+whole columns against the authors' own utilities. An entry depends only on
+the writers of its topic besides its author, so a move from s to t refills
+the columns of s and t, 2n kernel calls, and keeps every other entry, the
+mover's own included. A lazy per-entry memo for
+round-robin and the first deviator hit none of the round-robin lookups in
+the benchmark's simulate jobs and 9.6% of the 158k lookups in one pass of
+its sweep's convergence audit (seed 0), where a prp or rand deviation costs
+O(1), so they keep none.
 
 Every reader decides a move by one comparison, better(u1, u0) from
 model._gain, the rule the improvement graph uses too, and for best
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import chain, compress, product
+from itertools import chain, compress, product, repeat
 
 from .errors import ValidationError
 from .model import (
@@ -220,38 +225,6 @@ def _move_for(state: ProfileState, j: int, response: str, better):
 
 # ---------- the run loop ----------
 
-class _RunMemo:
-    """The random scheduler's kernel state, moved with its run, and one
-    column of utilities per topic: cols[t-1][j-1] is state.utility(j, t).
-
-    An entry depends only on the writers of topic t besides author j, so a
-    move from s to t refills the columns of s and t, 2n kernel calls, and
-    keeps every other entry, the mover's own included. The scheduler reads
-    all n*(m-1) deviations at every step, so it compares whole columns
-    against the authors' own utilities. Round-robin and the first deviator
-    stop at the first improving author and read the state itself. A lazy
-    memo for them hit none of the round-robin lookups in the benchmark's
-    simulate jobs and 9.6% of the 158k lookups in one pass of its sweep's
-    convergence audit (seed 0), where a prp or rand deviation costs O(1).
-    """
-
-    __slots__ = ("state", "cols")
-
-    def __init__(self, state: ProfileState):
-        self.state = state
-        self.cols = [self._column(t) for t in state.kernel.topics]
-
-    def _column(self, t: int) -> list:
-        u = self.state.utility
-        return [u(j, t) for j in range(1, len(self.state.a) + 1)]
-
-    def move(self, j: int, t: int):
-        s = self.state.a[j - 1]
-        self.state.move(j, t)
-        self.cols[s - 1] = self._column(s)
-        self.cols[t - 1] = self._column(t)
-
-
 def default_max_steps(game: Game) -> int:
     # a repeat-free path cannot visit more than m^n profiles; the budget
     # caps that bound so that a cycling run on a large game ends in time
@@ -304,7 +277,10 @@ def run_dynamics(
     value = state.kernel.value
     better = _gain(state.kernel, margin)
     if not deterministic:
-        memo = _RunMemo(state)
+        # cols[t-1][j-1] is state.utility(j, t), bound once per run
+        def column(t: int, utility=state.utility) -> list:
+            return list(map(utility, authors, repeat(t)))
+        cols = [column(t) for t in state.kernel.topics]
         pairs = list(product(authors, state.kernel.topics))
 
     while True:
@@ -327,7 +303,6 @@ def run_dynamics(
             # _improving_moves gives them, flagged by one map of better per
             # column; an entry equal to the author's own utility, her own
             # topic's included, is no improvement
-            cols = memo.cols
             u0 = [cols[s - 1][i] for i, s in enumerate(a)]
             if response == BETTER:
                 flags = chain.from_iterable(zip(*[map(better, col, u0) for col in cols]))
@@ -346,11 +321,11 @@ def run_dynamics(
             return BudgetExhausted(Trajectory(init, tuple(steps), a), repeat_seen)
 
         j, t, u0, u1 = move
-        steps.append(Step(len(steps) + 1, j, a[j - 1], t, value(u0), value(u1)))
-        if deterministic:
-            state.move(j, t)
-        else:
-            memo.move(j, t)
+        s = a[j - 1]
+        steps.append(Step(len(steps) + 1, j, s, t, value(u0), value(u1)))
+        state.move(j, t)
+        if not deterministic:
+            cols[s - 1], cols[t - 1] = column(s), column(t)
         a = state.a
         if a in seen:
             if deterministic:
@@ -359,84 +334,6 @@ def run_dynamics(
             repeat_seen = True
         else:
             seen[a] = len(steps)
-
-
-# ---------- every start at once ----------
-
-def _converge_on_graph(graph, fip: bool, max_steps: int) -> tuple[bool, int]:
-    """(converged, worst) over the better-response runs at margin 0 from
-    every start under RoundRobin() and FirstDeviator(): whether all of them
-    converge within max_steps, and the most steps a converged one takes.
-
-    The runs are read off the game's improvement graph at margin 0, graph,
-    whose acyclicity is fip; no kernel state is built. Author j's moves at
-    profile x go to x + (t - a_j) * m**(n-j), which rises with t, and the
-    out-lists are sorted, so author j's lowest-index better response is
-    the first out-edge of x that changes digit j. A run's state is its profile and
-    the next round-robin position, always 0 for the first deviator. On an
-    acyclic graph no run revisits a profile, so the steps still to go
-    depend only on that state, and one memo per scheduler gives every
-    start in one pass. On a cyclic graph a repeat is keyed by profile, not
-    by run state, so each start is walked on its own with the profiles it
-    has seen.
-    """
-    n, m = graph.game.n, graph.game.m
-    author = {k * m ** (n - 1 - j): j for j in range(n) for k in range(1 - m, m) if k}
-    # succ[x][j]: the profile after author j+1's better response at x, or None
-    succ = []
-    for x, out in enumerate(graph.adj):
-        row = [None] * n
-        for y in reversed(out):
-            row[author[y - x]] = y
-        succ.append(row)
-
-    def after(key: int, first: bool):
-        """The run state x * n + p after state key, or None at a PNE."""
-        x, p = divmod(key, n)
-        row = succ[x]
-        for k in range(p, p + n):
-            y = row[k % n]
-            if y is not None:
-                return y * n + (0 if first else (k + 1) % n)
-        return None
-
-    def alone(key: int, first: bool):
-        """The steps from state key to a PNE, or None when the run repeats
-        a profile."""
-        seen, steps = {key // n}, 0
-        while (key := after(key, first)) is not None:
-            if key // n in seen:
-                return None
-            seen.add(key // n)
-            steps += 1
-        return steps
-
-    def memoized(key: int, first: bool, togo: dict) -> int:
-        """The steps from state key to a PNE, with togo[state] the steps
-        still to go from every state walked so far."""
-        path = []
-        while key not in togo:
-            nxt = after(key, first)
-            if nxt is None:
-                togo[key] = 0
-                break
-            path.append(key)
-            key = nxt
-        steps = togo[key]
-        for k in reversed(path):
-            steps += 1
-            togo[k] = steps
-        return steps
-
-    runs = []
-    for first in (False, True):
-        togo: dict[int, int] = {}
-        runs += [memoized(x * n, first, togo) if fip else alone(x * n, first)
-                 for x in range(len(succ))]
-    # a run converges when it reaches a PNE within max_steps; one that
-    # repeats a profile does not, before or after the budget runs out
-    done = [r for r in runs if r is not None and r <= max_steps]
-    return len(done) == len(runs), max(done, default=0)
 
 
 # ---------- serialization ----------

@@ -31,8 +31,8 @@ from .model import (
     _Record,
     _set,
 )
-from .dynamics import _converge_on_graph, default_max_steps
-from .analysis import _analysis
+from .dynamics import default_max_steps
+from .analysis import _analysis, _converge_on_graph
 
 
 # ---------- the worked example ----------
@@ -300,7 +300,7 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
     Every game gets one full analysis, analysis_report's, and the checks
     choose the row's columns. The dynamics check reads every start's
     round-robin and first-deviator run off that analysis's improvement
-    graph (dynamics._converge_on_graph): it builds no kernel state and
+    graph (analysis._converge_on_graph): it builds no kernel state and
     calls no run_dynamics.
     Per-game budget overruns are recorded in the row, not raised.
     When out_dir is given, writes report.csv and report.json there.

@@ -17,10 +17,9 @@ target topic) under scoring; rand runs on prp's state with every quality
 tied. move(j, t) follows a run from profile to profile, updating the
 aggregates of the two topics a move touches in place. Under prp and rand
 its utilities are ints over one per-game scale S; _gain decides every
-improvement, in the dynamics and the graph alike, and Fractions are built
-only where the API hands a utility out. The exhaustive analyses read
-utilities from one writer-set table per game, built from the kernel's
-aggregates once they have checked the enumeration budget.
+improvement, in the dynamics, the graph and the cycle check alike, and
+Fractions are built only where the API hands a utility out. The profile
+space and its writer-set table belong to analysis.py.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import re
 import sys
 from bisect import bisect_left, insort
 from fractions import Fraction
-from itertools import chain, product, repeat
-from operator import floordiv, gt, mul, or_
+from itertools import chain, repeat
+from operator import floordiv, gt, mul
 
 from .errors import ValidationError
 
@@ -314,7 +313,7 @@ class Game(_Record):
     All operations over it are pure; _cache, which == and hash ignore, only
     memoizes: the deviation kernel's tables ("kernel"), the writer-set table
     that the potential scan reads and the graph expands into utility columns
-    ("writer_sets"), and the Fraction tuples."""
+    ("writer_sets", analysis._writer_set_table), and the Fraction tuples."""
 
     __match_args__ = (
         "demand_den", "demand_num", "quality_den", "quality_num", "mediator", "scheme"
@@ -408,28 +407,6 @@ def _check_mover(game: Game, a, j: int) -> Profile:
 
 def replace_topic(a: Profile, j: int, t: int) -> Profile:
     return a[: j - 1] + (t,) + a[j:]
-
-
-# ---------- profile indexing ----------
-
-def iter_profiles(n: int, m: int):
-    """All profiles in canonical order: author 1 most significant."""
-    return product(range(1, m + 1), repeat=n)
-
-
-def profile_index(a: Profile, m: int) -> int:
-    i = 0
-    for t in a:
-        i = i * m + (t - 1)
-    return i
-
-
-def profile_at(i: int, n: int, m: int) -> Profile:
-    out = []
-    for _ in range(n):
-        out.append(i % m + 1)
-        i //= m
-    return tuple(reversed(out))
 
 
 # ---------- the deviation kernel ----------
@@ -642,56 +619,6 @@ def profile_state(game: Game, a: Profile) -> ProfileState:
     if kernel is None:
         kernel = game._cache["kernel"] = _Kernel(game)
     return kernel.state_class(kernel, a)
-
-
-def _writer_set_table(game: Game) -> tuple[list, int | None]:
-    """(by_set, S), built once per game: by_set[t][j][W] is author j+1's
-    utility on topic t+1 when the authors in bit mask W (bit j for author
-    j+1) write on it, the kernel's int, the utility times S = kernel.scale,
-    under prp/rand and its float under scoring, where S is None. Only
-    callers that have checked the enumeration budget may ask for it."""
-    store = game._cache.get("writer_sets")
-    if store is None:
-        n, m = game.n, game.m
-        kernel = profile_state(game, (1,) * n).kernel
-        by_set = [[[None] * (1 << n) for _ in range(n)] for _ in range(m)]
-        full = (1 << n) - 1
-        # the state with W on topic t and the rest on the next gives two topics' entries
-        for t in range(1, m + 1, 2):
-            for W in range(1 << n):
-                a = tuple(t if W >> j & 1 else t % m + 1 for j in range(n))
-                state = kernel.state_class(kernel, a)
-                for j, k in enumerate(a):
-                    by_set[k - 1][j][W if k == t else full ^ W] = state.utility(j + 1, k)
-        store = game._cache["writer_sets"] = (by_set, kernel.scale)
-    return store
-
-
-def _topic_masks(n: int, m: int, t: int, base: int = 0) -> list[int]:
-    """base | the bit mask of the writers on topic t+1 (bit j for author j+1)
-    at every profile of n authors, in canonical order."""
-    mask = [base]
-    for j in reversed(range(n)):
-        mask = mask * t + list(map(or_, mask, repeat(1 << j))) + mask * (m - 1 - t)
-    return mask
-
-
-def _utility_columns(game: Game) -> list[list]:
-    """cols[j][x]: author j+1's utility at profile x, expanded from the
-    writer-set table, whose entries they are. m^n * n entries, cached
-    nowhere: only callers that have checked the enumeration budget ask."""
-    by_set, _ = _writer_set_table(game)
-    n, m = game.n, game.m
-    # at[x][t]: t << n | the writers on topic t+1 at profile x
-    at = list(zip(*(_topic_masks(n, m, t, t << n) for t in range(m))))
-    cols = []
-    for j in range(n):
-        # author j+1's topic at every profile, and j+1's entries keyed as in at
-        w = m ** (n - 1 - j)
-        topic = list(chain.from_iterable([t] * w for t in range(m))) * m**j
-        look = list(chain.from_iterable(by_set[t][j] for t in range(m))).__getitem__
-        cols.append(list(map(look, map(tuple.__getitem__, at, topic))))
-    return cols
 
 
 def utility(game: Game, a, j: int):

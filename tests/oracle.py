@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import rankgames as rg
 from rankgames.errors import ValidationError
-from rankgames.model import as_rational, format_rational, mediator_to_dict, profile_index
+from rankgames.analysis import profile_index
+from rankgames.model import as_rational, format_rational, mediator_to_dict
 
 
 def writers(game, k, a):
@@ -185,6 +186,12 @@ def game_document(demand, quality, mediator, scheme):
 
 # ---------- the improvement graph and the potential scan ----------
 
+def fresh(game):
+    """An equal game with empty caches, so that an oracle run on it shares
+    no cache with the library's run on game."""
+    return rg.make_game(game.demand, game.quality, game.mediator, game.scheme)
+
+
 def naive_graph(game, margin):
     """Out-lists of the improvement graph by profile index, built move by
     move from utility() and replace_topic."""
@@ -268,6 +275,87 @@ def naive_potential_check(game, tol=1e-9, residuals=None):
             worst, witness = res, subgame
     has = worst == 0 if exact else worst <= tol
     return rg.PotentialReport(has, worst, witness)
+
+
+def naive_longest_path(adj):
+    """The edge count of the longest path, or None on a cyclic graph: every
+    edge is relaxed until no depth grows, which a graph without a cycle
+    reaches within len(adj) rounds."""
+    depth = [0] * len(adj)
+    for _ in range(len(adj) + 1):
+        grew = False
+        for u, out in enumerate(adj):
+            for v in out:
+                if depth[v] <= depth[u]:
+                    depth[v], grew = depth[u] + 1, True
+        if not grew:
+            return max(depth, default=0)
+    return None
+
+
+def naive_shortest_cycle(adj):
+    """A shortest cycle through the lowest-index node that lies on a
+    shortest cycle, as a closed list of nodes, or None on an acyclic graph:
+    one breadth-first search from every node."""
+    best = None
+    for start in range(len(adj)):
+        parent, queue = {start: None}, [start]
+        for u in queue:  # in order of distance from start
+            if start in adj[u]:
+                cycle = [start]
+                while u is not None:
+                    cycle.append(u)
+                    u = parent[u]
+                if best is None or len(cycle) < len(best):
+                    best = cycle[::-1]
+                break
+            for v in adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+    return best
+
+
+def naive_report(game, margin=0.0, tol=1e-9):
+    """analysis_report from the definitions: naive_graph, the naive longest
+    path and shortest cycle, and naive_potential_check."""
+    adj = naive_graph(game, margin)
+    profiles = [list(a) for a in rg.iter_profiles(game.n, game.m)]
+    longest = naive_longest_path(adj)
+    if longest is None:
+        report = {"fip": False, "cycle": [profiles[i] for i in naive_shortest_cycle(adj)]}
+    else:
+        report = {"fip": True, "longest_path": longest}
+    report["pne"] = [a for a, out in zip(profiles, adj) if not out]
+    pot = naive_potential_check(game, tol)
+    res, w = pot.worst_residual, pot.witness
+    report["potential"] = {
+        "exists": pot.has_exact_potential,
+        "residual": format_rational(res) if isinstance(res, Fraction) else repr(res),
+        "witness": None if w is None else {
+            "authors": list(w.authors),
+            "topics_i": list(w.topics_i),
+            "topics_j": list(w.topics_j),
+            "base": list(w.base),
+        },
+    }
+    return report
+
+
+# ---------- closed-form potentials ----------
+
+def harmonic(h):
+    """H(h) = 1 + 1/2 + ... + 1/h, and H(0) = 0."""
+    return sum((Fraction(1, k) for k in range(1, h + 1)), Fraction(0))
+
+
+def rosenthal_potential(game, a):
+    """Rosenthal's potential of a rand/exposure game, a singleton congestion
+    game: the sum over topics t of D_t * H(h_t), h_t the writers on t. A
+    single-author move changes it by exactly the mover's gain (Rosenthal,
+    IJGT 2 (1973) 65-67; Monderer and Shapley, GEB 14 (1996) 124-143)."""
+    return sum((d * harmonic(len(writers(game, t, a))) for t, d in enumerate(game.demand, 1)),
+               Fraction(0))
 
 
 # ---------- the suite's dynamics check ----------

@@ -211,6 +211,13 @@ def test_counterexample_exp_minus_one_alias(capsys):
 
 def test_counterexample_power_needs_param(capsys):
     assert main(["counterexample", "thm3", "--f", "power"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind, param", [("identity", "2"), ("exp-minus-one", "1")])
+def test_counterexample_rejects_a_param_the_kind_does_not_take(kind, param, capsys):
+    assert main(["counterexample", "thm3", "--f", kind, "--param", param]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_suite_runs_config(tmp_path, capsys):

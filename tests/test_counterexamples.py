@@ -60,6 +60,34 @@ def test_verify_flags_stationary_pair(exposure_example):
     assert not ok
 
 
+CYCLE_GAMES = {
+    "thm3": lambda: (rg.build_exposure_cycle_game(rg.ScoreFunction.identity()).game,
+                     rg.closed_cycle()),
+    "thm4": lambda: (rg.build_action_cycle_game(rg.ScoreFunction.power(8.0), 2.0).game,
+                     rg.closed_cycle()),
+    "thm5": lambda: (rg.build_band_cycle_game(rg.ScoreFunction.identity(), 1.0, 1.0).game,
+                     rg.closed_cycle()),
+    # exact utilities, and steps that do not improve
+    "prp": lambda: (rg.example_game(rg.ACTION), [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-12, 1e-3])
+@pytest.mark.parametrize("name", CYCLE_GAMES)
+def test_cycle_steps_match_the_utility_vector_formula(name, margin):
+    # each step as the two profiles' utility vectors and improves decide it
+    game, profiles = CYCLE_GAMES[name]()
+    want = []
+    for a, b in zip(profiles, profiles[1:]):
+        j = next(k for k in range(1, game.n + 1) if a[k - 1] != b[k - 1])
+        u0, u1 = rg.utility_vector(game, a)[j - 1], rg.utility_vector(game, b)[j - 1]
+        want.append(counterexamples.CycleStep(j, u1 - u0, rg.improves(u0, u1, margin)))
+    ok, steps = rg.verify_improvement_cycle(game, profiles, margin)
+    # repr tells apart any two floats, -0.0 and 0.0 included
+    assert list(map(repr, steps)) == list(map(repr, want))
+    assert ok is all(s.ok for s in want)
+
+
 # ---------- exposure construction ----------
 
 def test_exposure_triple_identity():

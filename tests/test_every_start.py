@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rankgames as rg
 from rankgames import harness
-from rankgames.dynamics import _converge_on_graph
+from rankgames.analysis import _converge_on_graph
 
 from oracle import converge_per_start
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rankgames as rg
+from rankgames.analysis import profile_at, profile_index
 from rankgames.errors import ValidationError
 from rankgames.model import (
     as_rational,
@@ -13,8 +14,6 @@ from rankgames.model import (
     format_rational,
     mediator_from_dict,
     mediator_to_dict,
-    profile_at,
-    profile_index,
 )
 
 import oracle

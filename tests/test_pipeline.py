@@ -1,16 +1,19 @@
 """One analysis pipeline: the equilibria are the improvement graph's sinks,
 and every suite row is read from analysis_report.
 
-enumerate_pne is checked against the per-profile is_pne filter, and a suite
-run with some checks against the all-checks run of the same config.
+analysis_report is checked against the oracle's report built from the
+definitions, enumerate_pne against the per-profile is_pne filter, and a
+suite run with some checks against the all-checks run of the same config.
 """
 
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rankgames as rg
+from oracle import fresh, naive_graph, naive_report
+from rankgames.analysis import profile_index
 from rankgames.harness import CHECKS
 
 POWER2 = rg.Mediator.scoring(rg.ScoreFunction.power(2.0))
@@ -42,6 +45,36 @@ def test_enumerate_pne_is_the_is_pne_filter(seed, n, m, mediator, scheme, tie_ri
         denominator_bound=4 if tie_rich else 1000, mediator=mediator, scheme=scheme,
     )
     assert rg.enumerate_pne(game, margin=margin) == _is_pne_filter(game, margin)
+
+
+@st.composite
+def small_games(draw):
+    tie_rich = draw(st.booleans())
+    return rg.generate_random_game(
+        draw(st.integers(0, 10**6)), draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+        generic_Q=not tie_rich, sorted_D=not tie_rich, denominator_bound=4 if tie_rich else 1000,
+        mediator=draw(st.sampled_from(MEDIATORS)),
+        scheme=draw(st.sampled_from((rg.EXPOSURE, rg.ACTION))),
+    )
+
+
+@settings(max_examples=200)
+@given(small_games(), st.sampled_from((0.0, 1e-12, 1e-3)))
+# random games this small rarely cycle: two cyclic games, 4x3
+@example(rg.build_exposure_cycle_game(rg.ScoreFunction.identity()).game, 0.0)
+@example(rg.generate_random_game(30, 4, 3, mediator=POWER2), 0.0)
+def test_analysis_report_matches_naive_report(game, margin):
+    got = rg.analysis_report(game, margin=margin)
+    want = naive_report(fresh(game), margin)
+    if not want["fip"]:
+        # a closed walk of graph edges, as short as a cycle can be, from the
+        # lowest-index node that lies on a shortest cycle
+        cycle, shortest = got.pop("cycle"), want.pop("cycle")
+        adj = naive_graph(fresh(game), margin)
+        at = [profile_index(a, game.m) for a in cycle]
+        assert all(v in adj[u] for u, v in zip(at, at[1:]))
+        assert (len(cycle), cycle[0], cycle[-1]) == (len(shortest), shortest[0], shortest[0])
+    assert got == want
 
 
 @pytest.mark.parametrize("margin", [0.0, 1e-12])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rankgames as rg
-from oracle import naive_graph, naive_potential_check, naive_residuals
+from oracle import fresh, naive_graph, naive_potential_check, naive_residuals, rosenthal_potential
 from rankgames.errors import ValidationError
 
 POWER2 = rg.Mediator.scoring(rg.ScoreFunction.power(2.0))
@@ -41,11 +41,6 @@ def games(draw, n=st.integers(1, 4), m=st.integers(1, 4), bound=st.integers(1, 4
         mediator=draw(st.sampled_from(MEDIATORS)),
         scheme=draw(st.sampled_from((rg.EXPOSURE, rg.ACTION))),
     )
-
-
-def fresh(game):
-    """An equal game with empty caches."""
-    return rg.make_game(game.demand, game.quality, game.mediator, game.scheme)
 
 
 @settings(max_examples=60)
@@ -202,6 +197,44 @@ def test_suite_pne_count_matches_enumeration():
         game = rg.generate_random_game(row["seed"], row["n"], row["m"], generic_Q=False,
                                        denominator_bound=3)
         assert row["pne_count"] == len(rg.enumerate_pne(game))
+
+
+# ---------- Rosenthal's potential ----------
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4), st.booleans())
+@example(5, 6, 6, False)  # 700k edges
+@example(5, 5, 5, True)
+def test_rand_exposure_graph_follows_rosenthals_potential(seed, n, m, tie_rich):
+    game = rg.generate_random_game(seed, n, m, generic_Q=not tie_rich, sorted_D=not tie_rich,
+                                   denominator_bound=4 if tie_rich else 60, mediator=rg.RAND)
+    adj = rg.improvement_graph(game).adj
+    profiles = list(rg.iter_profiles(n, m))
+    # Phi and the utilities as ints over one denominator, a multiple of
+    # theirs; Phi depends only on each topic's writer count
+    scale = game.demand_den * math.lcm(*range(1, n + 1))
+
+    def as_int(x):
+        assert scale % x.denominator == 0
+        return x.numerator * (scale // x.denominator)
+    by_count = {}
+    phi = []
+    for a in profiles:
+        count = tuple(map(a.count, range(1, m + 1)))
+        if count not in by_count:
+            by_count[count] = as_int(rosenthal_potential(game, a))
+        phi.append(by_count[count])
+    us = [tuple(map(as_int, rg.utility_vector(game, a))) for a in profiles]
+    weight = [m ** (n - 1 - j) for j in range(n)]
+    for x, a in enumerate(profiles):
+        # the single-author moves from a that raise Phi are its out-edges ...
+        moves = [(j, x + (t - s) * w) for j, (s, w) in enumerate(zip(a, weight))
+                 for t in range(1, m + 1) if t != s]
+        rising = [(j, y) for j, y in moves if phi[y] > phi[x]]
+        assert sorted(y for _, y in rising) == adj[x]
+        # ... and each raises it by the mover's gain
+        assert all(phi[y] - phi[x] == us[y][j] - us[x][j] for j, y in rising)
+    assert rg.exact_potential_check(game).worst_residual == 0
 
 
 # ---------- profile validation ----------
