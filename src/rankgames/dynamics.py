@@ -12,25 +12,24 @@ run builds one ProfileState, for its initial profile, and moves it with each
 step (ProfileState.move), updating only the two topics the step touches;
 every scheduler moves that one state. Round-robin and the first deviator
 stop at the first improving author and ask the state itself; a deviation
-costs O(1) under prp and rand and O(writers on the target topic) under
-scoring. The random scheduler reads all n*(m-1) deviations at every step,
-so it keeps one column of utilities per topic as a local list and compares
-whole columns against the authors' own utilities. An entry depends only on
-the writers of its topic besides its author, so a move from s to t refills
-the columns of s and t, 2n kernel calls, and keeps every other entry, the
-mover's own included. A lazy per-entry memo for
-round-robin and the first deviator hit none of the round-robin lookups in
-the benchmark's simulate jobs and 9.6% of the 158k lookups in one pass of
-its sweep's convergence audit (seed 0), where a prp or rand deviation costs
-O(1), so they keep none.
+costs O(1) under every mediator. The random scheduler reads all n*(m-1)
+deviations at every step, so it keeps one column of utilities per topic as
+a local list and compares whole columns against the authors' own
+utilities. An entry depends only on the writers of its topic besides its
+author, so a move from s to t refills the columns of s and t, 2n kernel
+calls, and keeps every other entry, the mover's own included. Round-robin
+and the first deviator keep no memo: a lazy per-entry one hit none of the
+benchmark's simulate lookups and 9.6% of its sweep audit's (seed 0).
 
 Every reader decides a move by one comparison, better(u1, u0) from
 model._gain, the rule the improvement graph uses too, and for best
 response by one lowest-index argmax, _best_move. Under prp and rand the
 kernel's utilities are ints over the game's scale S, so at margin 0 better
 is one int comparison; above 0 both sides go through improves as
-Fractions. Fractions are built only for what the API hands out:
-better_responses' values and the Step utilities (kernel.value).
+Fractions. Under scoring they are correctly rounded floats, which tie at
+margin 0 only when their exact values are equal or within half an ulp.
+Fractions are built only for what the API hands out: better_responses'
+values and the Step utilities (kernel.value).
 """
 
 from __future__ import annotations

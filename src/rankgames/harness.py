@@ -196,6 +196,11 @@ class ExperimentConfig(_Record):
         unknown = set(checks) - set(CHECKS)
         if unknown:
             raise ValidationError(f"unknown checks: {sorted(unknown)}")
+        # as the game and its generator check them, so that 0 games reject them too
+        if scheme not in SCHEMES:
+            raise ValidationError(f"unknown utility scheme {scheme!r}")
+        if not 1 <= denominator_bound < sys.maxsize:
+            raise ValidationError(f"denominator_bound must be positive and below {sys.maxsize}")
         if not isinstance(budget, int):
             raise ValidationError(f"budget must be an int, got {budget!r}")
         # for m >= 2, m^n exceeds the budget once n exceeds its bit length,

@@ -7,19 +7,20 @@ ranked first. Utility is demand times rank probability (exposure scheme),
 additionally times own quality (action scheme).
 
 Demand and quality are exact rationals so that quality ties, which drive the
-top-rank tie-splitting, are decided exactly. Scoring mediators evaluate their
-score function in floating point; everything else stays rational.
+top-rank tie-splitting, are decided exactly. A scoring utility is the float
+nearest its exact value, computed from exact scores.
 
 Every utility is computed by one deviation kernel: a ProfileState holds the
 per-topic aggregates of a profile, from which any author's utility after a
-single-topic move follows in O(1) under prp and rand and in O(writers on the
-target topic) under scoring; rand runs on prp's state with every quality
-tied. move(j, t) follows a run from profile to profile, updating the
+single-topic move follows in O(1); rand runs on prp's state with every
+quality tied. move(j, t) follows a run from profile to profile, updating the
 aggregates of the two topics a move touches in place. Under prp and rand
 its utilities are ints over one per-game scale S; _gain decides every
 improvement, in the dynamics, the graph and the cycle check alike, and
 Fractions are built only where the API hands a utility out. The profile
-space and its writer-set table belong to analysis.py.
+space and its writer-set table belong to analysis.py. Rounding is monotone,
+so _gain is exact at margin 0 under scoring too, but for distinct values
+within half an ulp: they round to one float and read as a tie.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import json
 import math
 import re
 import sys
-from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import floordiv, gt, mul
@@ -202,6 +202,10 @@ _SCORE_KINDS = ("constant", "identity", "power", "exponential", "exp_minus_one")
 
 # the largest exponential param whose top score, e**param, is a float
 _EXP_PARAM_MAX = math.log(sys.float_info.max)
+
+# the largest power param scored exactly, as q_num**p, which has p times the
+# bits of q_num: a document's power 1e300 must not build such an int
+_EXACT_POWER_MAX = 64
 
 
 class ScoreFunction(_Record):
@@ -417,8 +421,9 @@ class _Kernel:
     prp: each quality's numerator over its column's denominator, so
     top-quality comparisons are integer comparisons. rand: every key 0, so
     all writers on a topic tie at the top and split it evenly.
-    scoring: f(q) per topic column, float demand and quality, each num / den,
-    which is float(Fraction(num, den)) bit for bit.
+    scoring: the scores as ints over a per-topic denominator, which cancels:
+    q_num**e for constant, identity and integral power up to _EXACT_POWER_MAX,
+    and for every other kind f(q)'s floats over their common power of two.
     prp and rand: the shares D_t/h (times q_jt under action) as ints over
     scale = demand_den * lcm(1..n), times lcm(quality_den) under action, a
     multiple of every share's denominator; filled lazily, at most n*m*n.
@@ -449,13 +454,17 @@ class _Kernel:
             self.state_class = _TopRankState
         else:
             f = game.mediator.f
-            self.demand_f = [x / game.demand_den for x in game.demand_num]
-            cols = [[x / den for x in col] for den, col in zip(game.quality_den, game.quality_num)]
-            self.quality_f = list(zip(*cols))
-            self.score_cols = list(map(f.column, cols))
-            # then every subset of a topic's writers has a finite score sum
-            if not all(math.isfinite(sum(col)) for col in self.score_cols):
-                raise ValidationError("a topic's scores sum beyond the float range")
+            e = {"constant": 0, "identity": 1, "power": f.param}.get(f.kind)
+            if e is not None and e <= _EXACT_POWER_MAX and e == int(e):
+                self.scores = [[x ** int(e) for x in col] for col in game.quality_num]
+            else:
+                cols = [f.column([x / den for x in col])
+                        for den, col in zip(game.quality_den, game.quality_num)]
+                # then every subset of a topic's writers has a finite score sum
+                if not all(math.isfinite(sum(col)) for col in cols):
+                    raise ValidationError("a topic's scores sum beyond the float range")
+                self.scores = [_over_lcm(*zip(*map(float.as_integer_ratio, col)))[1]
+                               for col in cols]
             self.state_class = _ScoringState
 
     def share(self, j: int, t: int, h: int) -> int:
@@ -572,44 +581,32 @@ class _TopRankState(ProfileState):
 
 
 class _ScoringState(ProfileState):
-    # per topic: its writers as 0-based author indices, ascending, and their
-    # score total in that order, or None until a writer's utility asks for it
-    __slots__ = ("writers", "totals")
+    # per topic: its writers' score total, exact, so a move updates it in place
+    __slots__ = ("totals",)
 
     def __init__(self, kernel, a):
         super().__init__(kernel, a)
-        ws = [[] for _ in range(kernel.m)]
+        self.totals = totals = [0] * kernel.m
         for j, t in enumerate(a):
-            ws[t - 1].append(j)
-        self.writers = ws
-        self.totals = [None] * kernel.m
+            totals[t - 1] += kernel.scores[t - 1][j]
 
     def utility(self, j, t):
-        # the score total in author order, score / total (1 / writers on a
-        # zero total), times demand, times quality: the order of the direct
-        # float formula, so the result is bit-identical to it
+        # D_t (times q_jt under action) times x_j over the total, or over the
+        # h writers on a zero total: one int true division, correctly rounded
         k = self.kernel
-        ws = self.writers[t - 1]
-        col = k.score_cols[t - 1]
-        if self.a[j - 1] == t:
-            total = self.totals[t - 1]
-            if total is None:
-                total = self.totals[t - 1] = sum(map(col.__getitem__, ws))
-        else:
-            i = bisect_left(ws, j - 1)
-            ws = ws[:i] + [j - 1] + ws[i:]
-            total = sum(map(col.__getitem__, ws))
-        r = 1.0 / len(ws) if total == 0 else col[j - 1] / total
-        u = k.demand_f[t - 1] * r
+        x, away = k.scores[t - 1][j - 1], self.a[j - 1] != t
+        total = self.totals[t - 1] + x * away
+        num, den = k.demand_num[t - 1], k.demand_den
         if k.action:
-            u = u * k.quality_f[j - 1][t - 1]
-        return u
+            num, den = num * k.quality_num[t - 1][j - 1], den * k.quality_den[t - 1]
+        if total:
+            return num * x / (den * total)
+        return num / (den * (self.a.count(t) + away))
 
     def move(self, j, t):
-        s, ws = self.a[j - 1], self.writers
-        del ws[s - 1][bisect_left(ws[s - 1], j - 1)]
-        insort(ws[t - 1], j - 1)
-        self.totals[s - 1] = self.totals[t - 1] = None
+        scores, s = self.kernel.scores, self.a[j - 1]
+        self.totals[s - 1] -= scores[s - 1][j - 1]
+        self.totals[t - 1] += scores[t - 1][j - 1]
         self.a = replace_topic(self.a, j, t)
 
 

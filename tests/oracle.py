@@ -14,7 +14,7 @@ from fractions import Fraction
 import rankgames as rg
 from rankgames.errors import ValidationError
 from rankgames.analysis import profile_index
-from rankgames.model import as_rational, format_rational, mediator_to_dict
+from rankgames.model import _EXACT_POWER_MAX, as_rational, format_rational, mediator_to_dict
 
 
 def writers(game, k, a):
@@ -44,9 +44,10 @@ def rank_probabilities(game, k, a):
     """First-rank probability per writer on topic k; empty map if no writers.
 
     prp: 1/(tie count) for each top-quality writer, 0 for the rest.
-    rand: uniform over writers. scoring: f(quality) over the writers' f-sum;
-    a zero sum (possible when f(0) = 0 and all writers have quality 0) falls
-    back to uniform, an extension of the formula that keeps a distribution.
+    rand: uniform over writers. scoring: score over the writers' score sum,
+    as Fractions; a zero sum (possible when f(0) = 0 and all writers have
+    quality 0) falls back to uniform, an extension of the formula that keeps
+    a distribution.
     """
     ws = writers(game, k, a)
     if not ws:
@@ -60,23 +61,33 @@ def rank_probabilities(game, k, a):
     if kind == "rand":
         p = Fraction(1, len(ws))
         return {j: p for j in ws}
-    f = game.mediator.f
-    scores = {j: f(float(game.quality[j - 1][k - 1])) for j in ws}
+    scores = {j: score(game.mediator.f, game.quality[j - 1][k - 1]) for j in ws}
     total = sum(scores.values())
     if total == 0:
-        u = 1.0 / len(ws)
-        return {j: u for j in ws}
+        p = Fraction(1, len(ws))
+        return {j: p for j in ws}
     return {j: s / total for j, s in scores.items()}
+
+
+def score(f, q):
+    """f(q) as a Fraction: q**e, exactly, for constant (e = 0), identity
+    (e = 1) and integral power up to the model's exponent bound; the exact
+    value of the float f(float(q)) for every other kind."""
+    e = {"constant": 0, "identity": 1, "power": f.param}.get(f.kind)
+    if e is not None and e <= _EXACT_POWER_MAX and e == int(e):
+        return q ** int(e)
+    return Fraction(f(float(q)))
 
 
 def utility(game, a, j):
     """Author j's utility at profile a: demand times rank probability, times
-    own quality under the action scheme. Fractions under prp and rand."""
+    own quality under the action scheme. Fractions under prp and rand; under
+    scoring the float of that exact Fraction."""
     k = a[j - 1]
     u = game.demand[k - 1] * rank_probabilities(game, k, a)[j]
     if game.scheme == rg.ACTION:
         u = u * game.quality[j - 1][k - 1]
-    return u
+    return float(u) if game.mediator.kind == "scoring" else u
 
 
 def gains(u0, u1, margin):

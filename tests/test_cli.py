@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -262,6 +263,23 @@ def test_suite_beyond_the_game_bound_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"seed": 1, "games": 10**30, "n_range": [2, 2], "m_range": [2, 2]}))
     assert main(["suite", str(path)]) == 2
     assert capsys.readouterr().err == f"error: games must be at most {rg.DEFAULT_BUDGET}, got {10**30}\n"
+
+
+@pytest.mark.parametrize("games", [0, 1])
+@pytest.mark.parametrize("key, value, message", [
+    ("scheme", "bogus", "error: unknown utility scheme 'bogus'\n"),
+    ("denominator_bound", 0,
+     f"error: denominator_bound must be positive and below {sys.maxsize}\n"),
+])
+def test_suite_checks_scheme_and_denominator_bound_before_any_game(
+        games, key, value, message, tmp_path, capsys):
+    # a suite of no games rejects the same documents as a suite of one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "games": games, "n_range": [1, 1], "m_range": [1, 1],
+                                key: value}))
+    assert main(["suite", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "suite"])

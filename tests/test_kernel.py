@@ -2,18 +2,20 @@
 direct definitions.
 
 The naive evaluator, oracle.utility, reads oracle.rank_probabilities at the
-deviated profile. The kernel's utility, handed out through kernel.value,
-must give the same value, Fraction or float, compared with ==; under prp
-and rand the kernel's own int must be that Fraction times the game's scale.
+deviated profile, in Fractions. The kernel's utility, handed out through
+kernel.value, must give the same value: that Fraction under prp and rand,
+where the kernel's own int must be it times the game's scale, and under
+scoring the float of it, bit for bit.
 """
 
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankgames as rg
-from rankgames.model import profile_state
+from rankgames.model import _EXACT_POWER_MAX, profile_state
 
 import oracle
 
@@ -24,6 +26,8 @@ MEDIATORS = (
     rg.Mediator.scoring(rg.ScoreFunction.power(2.0)),
     rg.Mediator.scoring(rg.ScoreFunction.exp_minus_one()),
     rg.Mediator.scoring(rg.ScoreFunction.exponential(3.0)),
+    rg.Mediator.scoring(rg.ScoreFunction.constant()),
+    rg.Mediator.scoring(rg.ScoreFunction.power(2.5)),
 )
 
 
@@ -37,7 +41,9 @@ def assert_kernel_matches(game, a):
             got = state.kernel.value(u)
             assert type(got) is type(want)
             assert got == want, (a, j, t)
-            if game.mediator.kind != "scoring":
+            if game.mediator.kind == "scoring":
+                assert got.hex() == want.hex(), (a, j, t)
+            else:
                 # the int the dynamics compare is the utility times S, exactly
                 assert type(u) is int and u == want * scale, (a, j, t)
 
@@ -189,8 +195,8 @@ def test_dynamics_match_the_fraction_oracle(run, margin):
 @settings(max_examples=60, deadline=None)
 @given(games_and_runs(MEDIATORS[2:], max_n=6), st.sampled_from((0.0, 1e-3)))
 def test_dynamics_match_the_float_oracle_under_scoring(run, margin):
-    # floats compared with ==: the run's utilities are the direct formula's,
-    # bit for bit, however long a memoised utility outlives the moves
+    # floats compared with ==: the run's utilities are the floats of the
+    # oracle's exact Fractions, bit for bit, however far the state has moved
     game, init, sched, response = run
     got = rg.run_dynamics(game, init, sched, 30, response, margin)
     assert got == oracle.dynamics(game, init, sched, 30, response, margin)
@@ -275,11 +281,14 @@ def test_improves_at_zero_margin_is_the_difference_test(pair):
 # ---------- scoring floats ----------
 
 def assert_floats_are_float_of_fraction(game):
-    kernel = profile_state(game, (1,) * game.n).kernel
-    assert [x.hex() for x in kernel.demand_f] == [float(w).hex() for w in game.demand]
-    assert [[x.hex() for x in row] for row in kernel.quality_f] == [
-        [float(q).hex() for q in row] for row in game.quality
-    ]
+    # every utility at every profile, deviations included, is float() of
+    # the exact Fraction, compared as hex
+    for a in rg.iter_profiles(game.n, game.m):
+        state = profile_state(game, a)
+        for j in range(1, game.n + 1):
+            for t in range(1, game.m + 1):
+                want = oracle.utility(game, rg.replace_topic(a, j, t), j)
+                assert state.utility(j, t).hex() == want.hex(), (a, j, t)
 
 
 BIG = st.one_of(st.integers(1, 1000), st.integers(2**53, 2**80))
@@ -294,8 +303,8 @@ def big_rational_games(draw):
         for _ in range(n)
     ]
     scheme = draw(st.sampled_from((rg.EXPOSURE, rg.ACTION)))
-    identity = rg.Mediator.scoring(rg.ScoreFunction.identity())
-    return rg.make_game([F(w, sum(weights)) for w in weights], quality, identity, scheme)
+    mediator = draw(st.sampled_from(MEDIATORS[2:]))
+    return rg.make_game([F(w, sum(weights)) for w in weights], quality, mediator, scheme)
 
 
 @given(big_rational_games())
@@ -310,3 +319,21 @@ def test_scoring_floats_are_float_of_fraction(game):
 ])
 def test_construction_floats_are_float_of_fraction(build):
     assert_floats_are_float_of_fraction(build().game)
+
+
+# ---------- the exponent bound ----------
+
+@pytest.mark.parametrize("p", [float(_EXACT_POWER_MAX), float(_EXACT_POWER_MAX + 1), 1e300],
+                         ids=["at-the-bound", "above-the-bound", "1e300"])
+def test_power_scores_are_exact_up_to_the_exponent_bound(p):
+    # on topic 1 the floats 1e-6**p and 5e-7**p underflow to 0 at every p
+    # here, so float scores split it evenly; exact ones give author 1 2**p : 1
+    game = rg.make_game(("1/2", "1/2"), (("1/1000000", "1"), ("1/2000000", "1/2")),
+                        rg.Mediator.scoring(rg.ScoreFunction.power(p)))
+    start = time.perf_counter()
+    report = rg.analysis_report(game)
+    assert time.perf_counter() - start < 1.0
+    assert report == oracle.naive_report(oracle.fresh(game))
+    assert_floats_are_float_of_fraction(game)
+    u = rg.utility(game, (1, 1), 2)
+    assert u == (1 / (2 * (2**_EXACT_POWER_MAX + 1)) if p == _EXACT_POWER_MAX else 0.25)

@@ -55,13 +55,16 @@ def test_graph_matches_naive_graph(game):
 
 
 def test_graph_margin_on_float_ties():
-    # author 1 earns 2/7 at both (1, 1, 2) and (2, 1, 2), but the floats
-    # differ in the last bit: only a nonzero margin drops that edge
+    # author 1 earns 2/7 at both (1, 1, 2) and (2, 1, 2), summed as 4/5 over
+    # 4/5 + 3/5 on topic 1 and as 1 over 1 + 3/4 on topic 2: both round to
+    # one float, so margin 0 already keeps the two equilibria
     game = rg.make_game(("1/2", "1/2"), (("4/5", "1"), ("3/5", "0"), ("0", "3/4")),
                         rg.Mediator.scoring(rg.ScoreFunction.identity()))
     graphs = [rg.improvement_graph(game, margin=margin).adj for margin in (0.0, 1e-12)]
-    assert graphs[0] != graphs[1]
+    assert graphs[0] == graphs[1]
     assert graphs == [naive_graph(fresh(game), margin) for margin in (0.0, 1e-12)]
+    assert rg.enumerate_pne(game) == [(1, 1, 2), (2, 1, 2)]
+    assert rg.utility(game, (1, 1, 2), 1) == rg.utility(game, (2, 1, 2), 1) == 0.2857142857142857
 
 
 @settings(max_examples=60)
