@@ -51,6 +51,9 @@ from .model import (
 from .dynamics import Trajectory
 
 _ZERO = Fraction(0)
+# the largest worst residual under scoring that still reports a potential;
+# absolute, beside the relative margin that the graph and dynamics use
+_TOL = 1e-9
 
 
 def _check_budget(game: Game, budget: int):
@@ -462,7 +465,7 @@ def potential_residual(game: Game, i: int, j: int, topics_i, topics_j, base) -> 
     return u21 - u11 + v22 - v21 + u12 - u22 + v11 - v12
 
 
-def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> PotentialReport:
+def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET) -> PotentialReport:
     """Test every 2x2 subgame for separability and report the worst residual.
 
     An exact potential exists iff every 2x2 subgame is separable (Monderer
@@ -474,11 +477,10 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     Under prp/rand the table holds ints over the kernel's scale S: the test
     is exact and the worst residual is a Fraction over S. Under scoring it
     holds floats, the worst is a float and a potential is reported when it
-    is at most tol; it can differ in the last bits from potential_residual
+    is at most _TOL; it can differ in the last bits from potential_residual
     at the witness. The witness is the first subgame in the order pair,
     rest, (s1, s2), (t1, t2) that attains the worst residual.
     """
-    check_tolerance(tol, "tol")
     _check_budget(game, budget)
     n, m = game.n, game.m
     exact = game.mediator.kind != "scoring"
@@ -515,7 +517,7 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET, tol: float =
     if exact:
         worst = Fraction(worst, scale)
         return PotentialReport(worst == 0, worst, witness)
-    return PotentialReport(worst <= tol, float(worst), witness)
+    return PotentialReport(worst <= _TOL, float(worst), witness)
 
 
 def _over_subsets(f, x: list) -> list:
@@ -709,19 +711,14 @@ def rand_to_prp_reduction(game: Game) -> Game:
 
 # ---------- report serialization ----------
 
-def analysis_report(
-    game: Game,
-    budget: int = DEFAULT_BUDGET,
-    margin: float = 0.0,
-    tol: float = 1e-9,
-) -> dict:
+def analysis_report(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> dict:
     """Full analysis as a JSON-ready dict: fip (+ cycle witness), pne list,
     longest path (acyclic case), and the exact-potential report."""
-    return _analysis(game, budget, margin, tol)[0]
+    return _analysis(game, budget, margin)[0]
 
 
-def _analysis(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0,
-              tol: float = 1e-9) -> tuple[dict, ImprovementGraph]:
+def _analysis(game: Game, budget: int = DEFAULT_BUDGET,
+              margin: float = 0.0) -> tuple[dict, ImprovementGraph]:
     """analysis_report's dict and the improvement graph it was read from."""
     graph = improvement_graph(game, budget, margin)
     # one topological sort per graph: it fails only on a cyclic one
@@ -730,7 +727,7 @@ def _analysis(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0,
     except CyclicGraphError:
         report = {"fip": False, "cycle": [list(p) for p in shortest_cycle(graph)]}
     report["pne"] = [list(a) for a in graph.sinks()]
-    pot = exact_potential_check(game, budget, tol)
+    pot = exact_potential_check(game, budget)
     witness = None
     if pot.witness is not None:
         witness = {

@@ -92,7 +92,7 @@ def _cmd_example(args) -> int:
 
 def _cmd_analyze(args) -> int:
     game = game_from_dict(_read_json(args.game))
-    report = analysis_report(game, budget=args.budget, margin=args.margin, tol=args.tol)
+    report = analysis_report(game, budget=args.budget, margin=args.margin)
     _write_output(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 
@@ -130,15 +130,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_counterexample(args) -> int:
     f = _make_score(args)
     if args.construction == "thm3":
-        bundle = build_exposure_cycle_game(f, x1=args.x1)
+        bundle = build_exposure_cycle_game(f)
     elif args.construction == "thm4":
         if args.alpha is None:
             raise ValidationError("thm4 requires --alpha")
-        bundle = build_action_cycle_game(f, args.alpha, x1=args.x1)
+        bundle = build_action_cycle_game(f, args.alpha)
     else:
         if args.alpha is None or args.beta is None:
             raise ValidationError("thm5 requires --alpha and --beta")
-        bundle = build_band_cycle_game(f, args.alpha, args.beta, x1=args.x1)
+        bundle = build_band_cycle_game(f, args.alpha, args.beta)
     _write_output(json.dumps(bundle_to_dict(bundle), indent=2) + "\n", args.output)
     return 0
 
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="path to a game JSON file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_analyze)
 
@@ -205,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=float, help="exponent or scale for --f")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--x1", type=float, default=1.0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_counterexample)
 

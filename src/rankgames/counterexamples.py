@@ -1,11 +1,11 @@
 """Constructive 4-author, 3-topic games on which scoring mediators cycle.
 
-Each builder searches for qualities (x1, x2, x3) whose score ratios satisfy
-the inequalities that make a fixed 6-step improvement cycle strictly
-improving, solves for a demand perturbation epsilon by halving from the
-feasible cap, assembles the game, and verifies the cycle numerically before
-returning it. Existence arguments become monotone bisection on the score
-function plus a coarse-to-fine grid scan.
+Each builder searches for qualities (x1 = 1, x2, x3) whose score ratios
+satisfy the inequalities that make a fixed 6-step improvement cycle
+strictly improving, solves for a demand perturbation epsilon by halving
+from the feasible cap, assembles the game, and verifies the cycle
+numerically before returning it. Existence arguments become monotone
+bisection on the score function plus a coarse-to-fine grid scan.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ CYCLE: tuple[Profile, ...] = (
 )
 
 VERIFY_MARGIN = 1e-12  # relative; float noise must not fabricate a gain
+
+# the top quality x1 of every construction: f is non-decreasing, so the
+# premises f(x1) > 2*f(0) and f(x1) > 2*(2*alpha - 1)*f(1/alpha) are
+# weakest at x1 = 1
+_X1 = 1.0
 
 
 def closed_cycle() -> tuple[Profile, ...]:
@@ -158,18 +163,16 @@ def _halving_epsilon(cap: Fraction, accept, what: str) -> Fraction:
 
 # ---------- exposure-scheme construction ----------
 
-def find_exposure_triple(f: ScoreFunction, x1: float = 1.0):
-    """Qualities 0 < x3 < x2 < x1 <= 1 whose score ratios c1 = f(x1)/f(x2)
+def find_exposure_triple(f: ScoreFunction):
+    """Qualities 0 < x3 < x2 < x1 = 1 whose score ratios c1 = f(x1)/f(x2)
     and c2 = f(x2)/f(x3) satisfy c2 > 2*c1 > 2 with relative margin.
 
     Scans x2 over a coarse-to-fine halving grid (level L tries descending odd
-    multiples of x1/2**L), then places c2 between 2*c1 and its feasibility
+    multiples of 1/2**L), then places c2 between 2*c1 and its feasibility
     ceiling f(x2)/f(0) and recovers x3 by bisection. The scan evaluates f
     at most _MAX_EVALS times, then raises SearchError with the level reached.
     """
-    if not 0 < x1 <= 1:
-        raise ValidationError("x1 must lie in (0, 1]")
-    f0, f1 = f(0.0), f(x1)
+    f0, f1 = f(0.0), f(_X1)
     if not f1 > 2 * f0:
         raise PreconditionError("score function must satisfy f(x1) > 2*f(0)")
     evals = 0
@@ -183,7 +186,7 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0):
         return f(x)
 
     for level in range(1, _MAX_LEVEL + 1):
-        step = x1 / 2**level
+        step = _X1 / 2**level
         for k in range(2**level - 1, 0, -2):
             x2 = k * step
             f2 = score(x2)
@@ -204,7 +207,7 @@ def find_exposure_triple(f: ScoreFunction, x1: float = 1.0):
                 continue
             c2 = f2 / f3  # realized ratio after bisection
             if c2 > 2 * c1 * (1 + _EXPOSURE_MARGIN):
-                return x1, x2, x3, c1, c2
+                return _X1, x2, x3, c1, c2
     raise SearchError("no quality triple found at the configured grid resolution")
 
 
@@ -235,13 +238,13 @@ def _verified_bundle(
     return CounterexampleBundle(game, closed_cycle(), params)
 
 
-def build_exposure_cycle_game(f: ScoreFunction, x1: float = 1.0) -> CounterexampleBundle:
+def build_exposure_cycle_game(f: ScoreFunction) -> CounterexampleBundle:
     """Exposure-scheme scoring game with a verified 6-step improvement cycle.
 
     Requires f(x1) > 2*f(0). Quality rows: (x1,0,0), (x1,x2,0), (x2,0,x3),
     (0,x3,x2); demand (1/(2-3e), (1-2e)/(2(2-3e)), (1-4e)/(2(2-3e))).
     """
-    x1, x2, x3, c1, c2 = find_exposure_triple(f, x1)
+    x1, x2, x3, c1, c2 = find_exposure_triple(f)
     eps = solve_exposure_epsilon(c1, c2)
     den = 2 - 3 * eps
     demand = (1 / den, (1 - 2 * eps) / (2 * den), (1 - 4 * eps) / (2 * den))
@@ -257,8 +260,8 @@ def build_exposure_cycle_game(f: ScoreFunction, x1: float = 1.0) -> Counterexamp
 
 # ---------- action-scheme construction ----------
 
-def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0):
-    """Qualities 1/alpha < x3 < x2 < x1 <= 1 putting c1 = f(x1)/f(x2) and
+def find_action_triple(f: ScoreFunction, alpha: float):
+    """Qualities 1/alpha < x3 < x2 < x1 = 1 putting c1 = f(x1)/f(x2) and
     c2 = f(x1)/f(x3) inside the chain 2(2a-1) < 2*c1 < c2 < 2(2a-1/2).
 
     The chain's window is split at thirds between its lower end and the
@@ -266,10 +269,8 @@ def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0):
     """
     if not alpha > 1:
         raise PreconditionError("alpha must exceed 1")
-    if not 0 < x1 <= 1:
-        raise ValidationError("x1 must lie in (0, 1]")
     inv = 1.0 / alpha
-    f1, f_inv = f(x1), f(inv)
+    f1, f_inv = f(_X1), f(inv)
     lo = 2 * (2 * alpha - 1.0)
     hi = 2 * (2 * alpha - 0.5)
     if not f1 > lo * f_inv:
@@ -279,9 +280,9 @@ def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0):
     ceiling = hi if f_inv <= 0 else min(hi, f1 / f_inv)
     c2 = lo + 2 * (ceiling - lo) / 3
     c1 = (lo + (ceiling - lo) / 3) / 2
-    x2 = _solve_monotone(f, f1 / c1, inv, x1)
+    x2 = _solve_monotone(f, f1 / c1, inv, _X1)
     x3 = _solve_monotone(f, f1 / c2, inv, x2)
-    if not inv < x3 < x2 < x1:
+    if not inv < x3 < x2 < _X1:
         raise SearchError("no chain-satisfying triple at the configured resolution")
     f2, f3 = f(x2), f(x3)
     if f2 <= 0 or f3 <= 0:
@@ -289,7 +290,7 @@ def find_action_triple(f: ScoreFunction, alpha: float, x1: float = 1.0):
     c1, c2 = f1 / f2, f1 / f3  # realized ratios
     if not lo * (1 + _ACTION_MARGIN) < 2 * c1 < c2 < hi * (1 - _ACTION_MARGIN):
         raise SearchError("no chain-satisfying triple at the configured resolution")
-    return x1, x2, x3, c1, c2
+    return _X1, x2, x3, c1, c2
 
 
 def solve_action_epsilon(c1: float, c2: float, alpha: float) -> Fraction:
@@ -308,14 +309,14 @@ def solve_action_epsilon(c1: float, c2: float, alpha: float) -> Fraction:
     return _halving_epsilon(Fraction(1, 6), accept, "the action construction")
 
 
-def build_action_cycle_game(f: ScoreFunction, alpha: float, x1: float = 1.0) -> CounterexampleBundle:
+def build_action_cycle_game(f: ScoreFunction, alpha: float) -> CounterexampleBundle:
     """Action-scheme scoring game with a verified 6-step improvement cycle.
 
     Requires alpha > 1 and f(x1) > 2*(2*alpha - 1)*f(1/alpha). Quality rows:
     (x1,0,0), (x1,x1,0), (x2,0,x2), (0,x3,x2); demand built from alpha and
     epsilon with denominator 3a + 1 - e(a + 2).
     """
-    x1, x2, x3, c1, c2 = find_action_triple(f, alpha, x1)
+    x1, x2, x3, c1, c2 = find_action_triple(f, alpha)
     eps = solve_action_epsilon(c1, c2, alpha)
     af = Fraction(alpha)
     den = 3 * af + 1 - eps * (af + 2)
@@ -352,9 +353,7 @@ def solve_band_epsilon(z) -> Fraction:
     return _halving_epsilon(Fraction(1, 4), accept, "the linear-band construction")
 
 
-def build_band_cycle_game(
-    f: ScoreFunction, alpha: float, beta: float, x1: float = 1.0
-) -> CounterexampleBundle:
+def build_band_cycle_game(f: ScoreFunction, alpha: float, beta: float) -> CounterexampleBundle:
     """Action-scheme cycle game for f sandwiched between alpha*x and beta*x.
 
     Verifies the band premise on a grid over [0, 1], solves 5z*f(x2) = f(x1)
@@ -363,8 +362,6 @@ def build_band_cycle_game(
     """
     if not 0 < alpha <= beta:
         raise PreconditionError("need 0 < alpha <= beta")
-    if not 0 < x1 <= 1:
-        raise ValidationError("x1 must lie in (0, 1]")
     slack = 1e-9 * max(1.0, beta)
     grid = [i / 1000 for i in range(1001)]
     for x, fx in zip(grid, f.column(grid)):
@@ -377,8 +374,8 @@ def build_band_cycle_game(
         zf = float(z)
     except OverflowError:
         raise PreconditionError(f"beta/alpha = {beta!r}/{alpha!r} exceeds the float range") from None
-    f1 = f(x1)
-    x2 = _solve_monotone(f, f1 / (5 * zf), 0.0, x1)
+    f1 = f(_X1)
+    x2 = _solve_monotone(f, f1 / (5 * zf), 0.0, _X1)
     x3 = _solve_monotone(f, f1 / (11 * zf), 0.0, x2)
     for target, x in ((f1 / (5 * zf), x2), (f1 / (11 * zf), x3)):
         if not math.isclose(f(x), target, rel_tol=1e-9):
@@ -391,10 +388,10 @@ def build_band_cycle_game(
         2 / den,
     )
     quality = (
-        (x1, 0, 0),
-        (x1, x1, 0),
+        (_X1, 0, 0),
+        (_X1, _X1, 0),
         (x2, 0, x2),
         (0, x3, x2),
     )
-    params = {"x1": x1, "x2": x2, "x3": x3, "z": zf, "epsilon": eps}
+    params = {"x1": _X1, "x2": x2, "x3": x3, "z": zf, "epsilon": eps}
     return _verified_bundle(demand, quality, f, ACTION, "linear-band", params)

@@ -100,14 +100,7 @@ def generate_random_game(
     rationals; sorted_D draws them pairwise distinct and sorts them
     non-increasing, so the demand is strictly decreasing.
     """
-    if n < 1 or m < 1:
-        raise ValidationError("need at least one author and one topic")
-    if not 1 <= denominator_bound < sys.maxsize:  # random.sample takes len(range(bound))
-        raise ValidationError(f"denominator_bound must be positive and below {sys.maxsize}")
-    if generic_Q and n * m > denominator_bound + 1:
-        raise ValidationError("denominator_bound too small for distinct quality entries")
-    if sorted_D and m > denominator_bound:
-        raise ValidationError("denominator_bound too small for distinct demand weights")
+    _check_generator_args(n, m, generic_Q, sorted_D, denominator_bound)
     rng = random.Random(seed)
     d = denominator_bound
 
@@ -125,6 +118,17 @@ def generate_random_game(
     # positional, as the generic record constructor binds keywords one by one
     return Game(sum(weights), weights, (d,) * m, [numerators[k::m] for k in range(m)],
                 mediator, scheme)
+
+
+def _check_generator_args(n, m, generic_Q, sorted_D, denominator_bound):
+    if n < 1 or m < 1:
+        raise ValidationError("need at least one author and one topic")
+    if not 1 <= denominator_bound < sys.maxsize:  # random.sample takes len(range(bound))
+        raise ValidationError(f"denominator_bound must be positive and below {sys.maxsize}")
+    if generic_Q and n * m > denominator_bound + 1:
+        raise ValidationError("denominator_bound too small for distinct quality entries")
+    if sorted_D and m > denominator_bound:
+        raise ValidationError("denominator_bound too small for distinct demand weights")
 
 
 # ---------- greedy assignment ----------
@@ -178,13 +182,12 @@ class ExperimentConfig(_Record):
     """Deterministic description of a batch run."""
 
     __match_args__ = __slots__ = (
-        "seed", "games", "n_range", "m_range", "mediator", "scheme", "checks", "budget",
+        "seed", "games", "n_range", "m_range", "mediator", "scheme", "budget",
         "generic_Q", "sorted_D", "denominator_bound",
     )
 
     def __init__(self, seed: int, games: int, n_range: tuple[int, int], m_range: tuple[int, int],
-                 mediator: Mediator = PRP, scheme: str = EXPOSURE,
-                 checks: frozenset = frozenset(CHECKS), budget: int = DEFAULT_BUDGET,
+                 mediator: Mediator = PRP, scheme: str = EXPOSURE, budget: int = DEFAULT_BUDGET,
                  generic_Q: bool = True, sorted_D: bool = True, denominator_bound: int = 1000):
         if games < 0:
             raise ValidationError("games must be nonnegative")
@@ -193,14 +196,11 @@ class ExperimentConfig(_Record):
         for name, (lo, hi) in (("n_range", n_range), ("m_range", m_range)):
             if not 1 <= lo <= hi:
                 raise ValidationError(f"{name} must satisfy 1 <= lo <= hi")
-        unknown = set(checks) - set(CHECKS)
-        if unknown:
-            raise ValidationError(f"unknown checks: {sorted(unknown)}")
-        # as the game and its generator check them, so that 0 games reject them too
+        # as the game and its generator check them, at the smallest game,
+        # so that 0 games reject them too
         if scheme not in SCHEMES:
             raise ValidationError(f"unknown utility scheme {scheme!r}")
-        if not 1 <= denominator_bound < sys.maxsize:
-            raise ValidationError(f"denominator_bound must be positive and below {sys.maxsize}")
+        _check_generator_args(n_range[0], m_range[0], generic_Q, sorted_D, denominator_bound)
         if not isinstance(budget, int):
             raise ValidationError(f"budget must be an int, got {budget!r}")
         # for m >= 2, m^n exceeds the budget once n exceeds its bit length,
@@ -213,7 +213,6 @@ class ExperimentConfig(_Record):
         _set(self, "m_range", m_range)
         _set(self, "mediator", mediator)
         _set(self, "scheme", scheme)
-        _set(self, "checks", checks)
         _set(self, "budget", budget)
         _set(self, "generic_Q", generic_Q)
         _set(self, "sorted_D", sorted_D)
@@ -227,21 +226,22 @@ def config_from_dict(d) -> ExperimentConfig:
     def typed(kind, key, *default):
         # only JSON integers or booleans: no bool is read as an int, nor 2.9 or "false"
         value = d.get(key, *default) if default else d[key]
-        for x in value if key.endswith("_range") else (value,):
+        is_range = key.endswith("_range")
+        if is_range and not (type(value) is list and len(value) == 2):
+            raise TypeError(f"{key} takes a list of two JSON ints, got {value!r}")
+        for x in value if is_range else (value,):
             if type(x) is not kind:
                 raise TypeError(f"{key} takes JSON {kind.__name__} values only, got {value!r}")
         return value
 
     try:
-        n_range, m_range = typed(int, "n_range"), typed(int, "m_range")
         return ExperimentConfig(
             seed=typed(int, "seed"),
             games=typed(int, "games"),
-            n_range=(n_range[0], n_range[1]),
-            m_range=(m_range[0], m_range[1]),
+            n_range=tuple(typed(int, "n_range")),
+            m_range=tuple(typed(int, "m_range")),
             mediator=mediator_from_dict(d.get("mediator", {"kind": "prp"})),
             scheme=d.get("scheme", EXPOSURE),
-            checks=frozenset(d.get("checks", list(CHECKS))),
             budget=typed(int, "budget", DEFAULT_BUDGET),
             generic_Q=typed(bool, "generic_Q", True),
             sorted_D=typed(bool, "sorted_D", True),
@@ -286,7 +286,7 @@ class ExperimentReport(_Record):
                 "m_range": list(self.config.m_range),
                 "mediator": mediator_to_dict(self.config.mediator),
                 "scheme": self.config.scheme,
-                "checks": sorted(self.config.checks),
+                "checks": sorted(CHECKS),
                 "budget": self.config.budget,
                 "generic_Q": self.config.generic_Q,
                 "sorted_D": self.config.sorted_D,
@@ -300,10 +300,10 @@ class ExperimentReport(_Record):
 
 
 def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
-    """Run the configured checks over seeded random games.
+    """Run every check of CHECKS over seeded random games.
 
-    Every game gets one full analysis, analysis_report's, and the checks
-    choose the row's columns. The dynamics check reads every start's
+    Every game gets one full analysis, analysis_report's, which fills every
+    column of its row. The dynamics check reads every start's
     round-robin and first-deviator run off that analysis's improvement
     graph (analysis._converge_on_graph): it builds no kernel state and
     calls no run_dynamics.
@@ -332,22 +332,17 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
         try:
             # every check reads the one full analysis and its graph
             analysis, graph = _analysis(game, config.budget)
-            acyclic = analysis["fip"]
-            if "fip" in config.checks:
-                row["fip"] = acyclic
-                if acyclic:
-                    row["max_path_len"] = analysis["longest_path"]
-                else:
-                    cycles.append(analysis["cycle"])
-            if "pne" in config.checks:
-                row["pne_count"] = len(analysis["pne"])
-            if "potential" in config.checks:
-                row["potential_exists"] = analysis["potential"]["exists"]
-            if "dynamics" in config.checks:
-                converged, worst = _converge_on_graph(graph, acyclic, default_max_steps(game))
-                row["dynamics_converged"] = converged
-                if converged:
-                    row["steps_to_converge"] = worst
+            acyclic = row["fip"] = analysis["fip"]
+            if acyclic:
+                row["max_path_len"] = analysis["longest_path"]
+            else:
+                cycles.append(analysis["cycle"])
+            row["pne_count"] = len(analysis["pne"])
+            row["potential_exists"] = analysis["potential"]["exists"]
+            converged, worst = _converge_on_graph(graph, acyclic, default_max_steps(game))
+            row["dynamics_converged"] = converged
+            if converged:
+                row["steps_to_converge"] = worst
         except BudgetExceededError:
             row["error"] = "budget"
         report.rows.append(row)

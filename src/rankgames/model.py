@@ -143,10 +143,10 @@ def _gain(kernel: _Kernel, margin: float):
     return better
 
 
-def check_tolerance(x, name: str = "margin"):
-    """Raise a ValidationError unless x, a margin or tolerance, is finite and >= 0."""
+def check_tolerance(x):
+    """Raise a ValidationError unless the margin x is finite and >= 0."""
     if not (math.isfinite(x) and x >= 0):
-        raise ValidationError(f"{name} must be finite and >= 0, got {x!r}")
+        raise ValidationError(f"margin must be finite and >= 0, got {x!r}")
 
 
 # ---------- records ----------
@@ -212,7 +212,8 @@ class ScoreFunction(_Record):
     """A non-decreasing, nonnegative score map on [0, 1].
 
     Kinds: constant (1), identity (x), power (x**p, p > 0),
-    exponential (e**(scale*x), 0 <= scale <= 709.78), exp_minus_one (e**x - 1).
+    exponential (e**(scale*x), 0 <= scale <= 709.78), exp_minus_one (e**x - 1,
+    by math.expm1, which keeps small x apart where exp(x) - 1.0 gives 0.0).
     """
 
     __match_args__ = __slots__ = ("kind", "param")
@@ -247,7 +248,7 @@ class ScoreFunction(_Record):
             return [float(x) ** p for x in xs]
         if kind == "exponential":
             return [math.exp(p * float(x)) for x in xs]
-        return [math.exp(float(x)) - 1.0 for x in xs]
+        return [math.expm1(float(x)) for x in xs]
 
     @classmethod
     def constant(cls):
@@ -423,7 +424,9 @@ class _Kernel:
     all writers on a topic tie at the top and split it evenly.
     scoring: the scores as ints over a per-topic denominator, which cancels:
     q_num**e for constant, identity and integral power up to _EXACT_POWER_MAX,
-    and for every other kind f(q)'s floats over their common power of two.
+    and for every other kind f(q)'s floats over their common power of two;
+    where those underflow to 0.0, as power above _EXACT_POWER_MAX does on
+    small qualities, a topic whose writers all score 0 is split evenly.
     prp and rand: the shares D_t/h (times q_jt under action) as ints over
     scale = demand_den * lcm(1..n), times lcm(quality_den) under action, a
     multiple of every share's denominator; filled lazily, at most n*m*n.

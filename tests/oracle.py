@@ -276,7 +276,7 @@ def naive_residuals(game):
                                 yield abs(res), rg.PotentialWitness((i, j), (s1, s2), (t1, t2), base)
 
 
-def naive_potential_check(game, tol=1e-9, residuals=None):
+def naive_potential_check(game, residuals=None):
     """The scan over naive_residuals, subgame by subgame: the first worst."""
     exact = game.mediator.kind != "scoring"
     worst = Fraction(0) if exact else 0.0
@@ -284,7 +284,7 @@ def naive_potential_check(game, tol=1e-9, residuals=None):
     for res, subgame in residuals or naive_residuals(game):
         if res > worst:
             worst, witness = res, subgame
-    has = worst == 0 if exact else worst <= tol
+    has = worst == 0 if exact else worst <= 1e-9  # the scan's absolute tolerance
     return rg.PotentialReport(has, worst, witness)
 
 
@@ -327,7 +327,7 @@ def naive_shortest_cycle(adj):
     return best
 
 
-def naive_report(game, margin=0.0, tol=1e-9):
+def naive_report(game, margin=0.0):
     """analysis_report from the definitions: naive_graph, the naive longest
     path and shortest cycle, and naive_potential_check."""
     adj = naive_graph(game, margin)
@@ -338,7 +338,7 @@ def naive_report(game, margin=0.0, tol=1e-9):
     else:
         report = {"fip": True, "longest_path": longest}
     report["pne"] = [a for a, out in zip(profiles, adj) if not out]
-    pot = naive_potential_check(game, tol)
+    pot = naive_potential_check(game)
     res, w = pot.worst_residual, pot.witness
     report["potential"] = {
         "exists": pot.has_exact_potential,

@@ -118,6 +118,18 @@ def test_exact_potential_check_reports_worst(residual_game, residual_game_action
     assert rep.worst_residual == F(7, 20)
 
 
+@pytest.mark.parametrize("delta, exists", [(F(1, 10**8), False), (F(1, 10**10), True)])
+def test_scoring_potential_verdict_has_an_absolute_tolerance_of_1e_9(delta, exists):
+    # with every quality 1/2, identity scoring splits each topic as rand does,
+    # and rand/exposure has an exact potential; raising one quality by delta
+    # makes the worst residual about delta / 2
+    game = rg.make_game(("1/2", "1/2"), ((F(1, 2) + delta, F(1, 2)), (F(1, 2), F(1, 2))),
+                        rg.Mediator.scoring(rg.ScoreFunction.identity()))
+    rep = rg.exact_potential_check(game)
+    assert abs(rep.worst_residual - float(delta) / 2) < 1e-3 * float(delta)
+    assert rep.has_exact_potential is exists
+
+
 def test_residual_needs_distinct_authors(residual_game):
     with pytest.raises(PreconditionError):
         rg.potential_residual(residual_game, 2, 2, (1, 2), (1, 2), (1, 1, 1))
@@ -253,7 +265,6 @@ def test_bad_margins_and_tolerances_are_rejected(exposure_example, x):
         lambda: rg.better_responses(g, (2, 2), 1, margin=x),
         lambda: rg.is_pne(g, (2, 2), margin=x),
         lambda: rg.verify_improvement_cycle(g, cycle, margin=x),
-        lambda: rg.exact_potential_check(g, tol=x),
     )
     for call in calls:
         with pytest.raises(ValidationError):

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rankgames as rg
 from rankgames.cli import main
-from rankgames.harness import CHECKS
 from rankgames.model import mediator_to_dict
 
 
@@ -75,11 +74,9 @@ def test_analyze_invalid_game_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "{game}", "--margin", "nan"],
     ["analyze", "{game}", "--margin=-1e-12"],
-    ["analyze", "{game}", "--tol", "inf"],
     ["simulate", "{game}", "--init", "2,2", "--margin", "-1"],
     ["simulate", "{game}", "--init", "2,2", "--margin", "nan"],
-], ids=["analyze margin nan", "analyze margin -1e-12", "analyze tol inf",
-        "simulate margin -1", "simulate margin nan"])
+], ids=["analyze margin nan", "analyze margin -1e-12", "simulate margin -1", "simulate margin nan"])
 def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -88,16 +85,13 @@ def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "{game}", "--budget", "-1"],
     ["analyze", "{game}", "--budget", "0"],
-    # f(x1) would be complex, or overflow, before x1's range is checked
-    ["counterexample", "thm3", "--f", "power", "--param", "0.5", "--x1", "-1"],
-    ["counterexample", "thm3", "--f", "exponential", "--param", "700", "--x1", "2"],
     # beta/alpha = 1e600 has no float
     ["counterexample", "thm5", "--alpha", "1e-300", "--beta", "1e300"],
     # f = x^1e-300 is 1 on (0, 1], so no grid point clears c1 > 1; only the
     # count of f evaluations ends a scan of about 2^40 points
     ["counterexample", "thm3", "--f", "power", "--param", "1e-300"],
-], ids=["analyze budget -1", "analyze budget 0", "thm3 power x1 -1", "thm3 exponential x1 2",
-        "thm5 beta/alpha beyond the float range", "thm3 triple search without a triple"])
+], ids=["analyze budget -1", "analyze budget 0", "thm5 beta/alpha beyond the float range",
+        "thm3 triple search without a triple"])
 def test_out_of_range_argument_exits_2(argv, game_file, capsys):
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -105,13 +99,23 @@ def test_out_of_range_argument_exits_2(argv, game_file, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "{game}", "--budget", "abc"],
-    # argparse reads "-1e-12" as an option, so --tol gets no value
-    ["analyze", "{game}", "--tol", "-1e-12"],
+    # argparse reads "-1e-12" as an option, so --margin gets no value
+    ["analyze", "{game}", "--margin", "-1e-12"],
     ["simulate", "{game}", "--init", "2,2", "--scheduler", "nope"],
-], ids=["analyze budget abc", "analyze tol -1e-12 as an option", "simulate scheduler nope"])
+], ids=["analyze budget abc", "analyze margin -1e-12 as an option", "simulate scheduler nope"])
 def test_argument_rejected_by_the_parser_exits_2(argv, game_file, capsys):
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: argument ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{game}", "--tol", "1e-9"],
+    ["counterexample", "thm3", "--x1", "1"],
+], ids=["analyze tol", "counterexample x1"])
+def test_removed_options_are_unrecognized(argv, game_file, capsys):
+    # the potential scan's tolerance and the constructions' top quality are constants
+    assert main([a.format(game=game_file) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
 
 
 def test_help_exits_0(capsys):
@@ -270,12 +274,17 @@ def test_suite_beyond_the_game_bound_exits_2(tmp_path, capsys):
     ("scheme", "bogus", "error: unknown utility scheme 'bogus'\n"),
     ("denominator_bound", 0,
      f"error: denominator_bound must be positive and below {sys.maxsize}\n"),
+    # 2x3 games at bound 2 have too few numerators for 6 distinct qualities
+    # or 3 distinct weights
+    ("generic_Q", True, "error: denominator_bound too small for distinct quality entries\n"),
+    ("sorted_D", True, "error: denominator_bound too small for distinct demand weights\n"),
 ])
 def test_suite_checks_scheme_and_denominator_bound_before_any_game(
         games, key, value, message, tmp_path, capsys):
     # a suite of no games rejects the same documents as a suite of one
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 1, "games": games, "n_range": [1, 1], "m_range": [1, 1],
+    path.write_text(json.dumps({"seed": 1, "games": games, "n_range": [2, 2], "m_range": [3, 3],
+                                "denominator_bound": 2, "generic_Q": False, "sorted_D": False,
                                 key: value}))
     assert main(["suite", str(path), "--output", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == message
@@ -358,7 +367,7 @@ def _runs(draw):
     if command == "suite":
         config = {"seed": seed, "games": 2, "n_range": [1, 3], "m_range": [1, 3],
                   "mediator": mediator_to_dict(mediator), "scheme": scheme,
-                  "checks": list(CHECKS), "budget": 1000, "generic_Q": draw(st.booleans()),
+                  "budget": 1000, "generic_Q": draw(st.booleans()),
                   "sorted_D": draw(st.booleans()), "denominator_bound": 60}
         # the game count asks for that much work: a large one is no bad input
         return ["suite"], draw(_mutated(config, fixed={("games",)}))
@@ -374,7 +383,7 @@ def _runs(draw):
 
     if command == "analyze":
         argv = ["analyze", flag("budget", "1000", "-1", "0", "1", "1" * 30),
-                flag("margin", "0", *_FLOATS), flag("tol", "1e-9", *_FLOATS)]
+                flag("margin", "0", *_FLOATS)]
     else:
         init = ",".join(map(str, draw(st.lists(st.integers(1, m), min_size=n, max_size=n))))
         order = ",".join(map(str, range(n, 0, -1)))

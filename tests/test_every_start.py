@@ -78,10 +78,9 @@ def test_pass_matches_per_start_runs_4x3(mediator, seed):
 
 # ---------- the suite ----------
 
-def _suite_row(monkeypatch, game, checks):
+def _suite_row(monkeypatch, game):
     monkeypatch.setattr(harness, "generate_random_game", lambda *args, **kwargs: game)
-    cfg = rg.ExperimentConfig(seed=0, games=1, n_range=(game.n, game.n),
-                              m_range=(game.m, game.m), checks=frozenset(checks))
+    cfg = rg.ExperimentConfig(seed=0, games=1, n_range=(game.n, game.n), m_range=(game.m, game.m))
     return rg.run_experiment_suite(cfg).rows[0]
 
 
@@ -93,16 +92,15 @@ CYCLIC_GAMES = {
 }
 
 
-@pytest.mark.parametrize("checks", [{"dynamics"}, {"fip", "dynamics"}])
 @pytest.mark.parametrize("name", CYCLIC_GAMES)
-def test_cyclic_games_run_each_start(name, checks, monkeypatch):
+def test_cyclic_games_run_each_start(name, monkeypatch):
     game = CYCLIC_GAMES[name]()
     assert not rg.has_fip(game)[0]
     converged, worst = converge_per_start(game)
-    row = _suite_row(monkeypatch, game, checks)
+    row = _suite_row(monkeypatch, game)
     assert row["dynamics_converged"] is converged
     assert row.get("steps_to_converge") == (worst if converged else None)
-    assert row.get("fip", False) is False
+    assert row["fip"] is False
     for max_steps in (1, 2, 3):
         _assert_same(_walk(game, max_steps), converge_per_start(game, max_steps))
 
@@ -118,8 +116,7 @@ SUITE_CONFIGS = {
 
 @pytest.mark.parametrize("name", SUITE_CONFIGS)
 def test_dynamics_only_suite_matches_per_start_runs(name):
-    cfg = rg.ExperimentConfig(seed=7, games=12, checks=frozenset({"dynamics"}),
-                              **SUITE_CONFIGS[name])
+    cfg = rg.ExperimentConfig(seed=7, games=12, **SUITE_CONFIGS[name])
     report = rg.run_experiment_suite(cfg)
     steps = []
     for row in report.rows:

@@ -118,10 +118,13 @@ def test_greedy_precondition_checks(exposure_example):
 # ---------- experiment suite ----------
 
 def test_config_round_trip_and_defaults():
-    cfg = config_from_dict({"seed": 1, "games": 3, "n_range": [2, 2], "m_range": [2, 3]})
+    doc = {"seed": 1, "games": 3, "n_range": [2, 2], "m_range": [2, 3]}
+    cfg = config_from_dict(doc)
     assert cfg.mediator == rg.PRP
     assert cfg.scheme == rg.EXPOSURE
     assert cfg.budget == rg.DEFAULT_BUDGET
+    # every suite runs every check: a checks key is ignored, as other unknown keys are
+    assert config_from_dict({**doc, "checks": ["fip", "entropy"], "extra": 1}) == cfg
 
 
 def test_config_validation():
@@ -140,9 +143,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         config_from_dict({"games": 3, "n_range": [2, 2], "m_range": [2, 2]})
     with pytest.raises(ValidationError):
-        config_from_dict({"seed": 1, "games": 3, "n_range": [2, 2],
-                          "m_range": [2, 2], "checks": ["fip", "entropy"]})
-    with pytest.raises(ValidationError):
         config_from_dict({"seed": "abc", "games": 3, "n_range": [2, 2], "m_range": [2, 2]})
     with pytest.raises(ValidationError):
         config_from_dict({"seed": 1, "games": float("inf"), "n_range": [2, 2], "m_range": [2, 2]})
@@ -151,6 +151,9 @@ def test_config_validation():
     for change in (
         {"games": 2.9}, {"games": True}, {"seed": True}, {"seed": 1.0}, {"seed": "1"},
         {"n_range": [2.5, 3]}, {"m_range": [2, 3.0]}, {"n_range": [True, 2]}, {"n_range": 2},
+        # a range is exactly two ints
+        {"n_range": [2, 2, 9]}, {"m_range": [2]}, {"n_range": []}, {"m_range": "23"},
+        {"n_range": {"0": 2, "1": 3}},
         {"budget": 1e6}, {"denominator_bound": False},
         {"generic_Q": "false"}, {"sorted_D": 0}, {"generic_Q": None},
     ):
@@ -198,18 +201,7 @@ def test_suite_csv_has_fixed_columns():
     assert header == "seed,n,m,mediator,scheme,fip,pne_count,max_path_len,potential_exists,steps_to_converge"
 
 
-def test_suite_subset_of_checks():
-    cfg = rg.ExperimentConfig(seed=3, games=2, n_range=(2, 2), m_range=(2, 2),
-                              checks=frozenset({"pne"}))
-    report = rg.run_experiment_suite(cfg)
-    for row in report.rows:
-        assert "pne_count" in row
-        assert "fip" not in row
-    assert "fip_rate" not in report.aggregate
-
-
 def test_suite_generic_games_rarely_admit_exact_potentials():
-    cfg = rg.ExperimentConfig(seed=11, games=10, n_range=(2, 2), m_range=(2, 3),
-                              checks=frozenset({"potential"}))
+    cfg = rg.ExperimentConfig(seed=11, games=10, n_range=(2, 2), m_range=(2, 3))
     report = rg.run_experiment_suite(cfg)
     assert report.aggregate["potential_failure_rate"] >= 0.8

@@ -13,7 +13,10 @@ IEEE TSE 42(9), 2016):
 - a scoring share under identity or integral power is homogeneous in a
   topic's qualities, so scaling one topic's qualities by k in (0, 1] keeps
   every exposure utility, and, as every utility is the float of its exact
-  value, keeps it bit for bit.
+  value, keeps it bit for bit;
+- a rand/exposure game and its rand_to_prp_reduction, the prp game with
+  all-ones quality, have the same edge and PNE sets, and the reduced game,
+  a congestion game, has an exact potential.
 """
 
 from fractions import Fraction as F
@@ -165,3 +168,29 @@ def test_scaling_a_topic_keeps_every_exposure_utility_bit_for_bit(game, data):
     for a in rg.iter_profiles(game.n, game.m):
         assert ([u.hex() for u in rg.utility_vector(scaled, a)]
                 == [u.hex() for u in rg.utility_vector(game, a)]), a
+
+
+# ---------- the rand -> prp reduction ----------
+
+def assert_reduction_keeps_the_analysis(game):
+    reduced = rg.rand_to_prp_reduction(game)
+    graph, graph2 = rg.improvement_graph(game), rg.improvement_graph(reduced)
+    assert graph2.adj == graph.adj
+    # the PNE set, enumerate_pne's, without a third graph
+    assert graph2.sinks() == graph.sinks()
+    assert rg.exact_potential_check(reduced).worst_residual == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(games(mediators=(rg.RAND,), schemes=(rg.EXPOSURE,)))
+def test_rand_to_prp_reduction_keeps_edges_and_equilibria(game):
+    assert_reduction_keeps_the_analysis(game)
+
+
+@pytest.mark.parametrize("game", [
+    rg.generate_random_game(5, 6, 5, generic_Q=False, sorted_D=False, denominator_bound=4,
+                            mediator=rg.RAND),
+    rg.generate_random_game(5, 6, 6, mediator=rg.RAND),
+], ids=["tie-rich-6x5", "generic-6x6"])
+def test_rand_to_prp_reduction_beyond_the_naive_oracles(game):
+    assert_reduction_keeps_the_analysis(game)

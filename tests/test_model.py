@@ -93,7 +93,7 @@ PER_CALL = {
     "identity": lambda x, p: float(x),
     "power": lambda x, p: float(x) ** p,
     "exponential": lambda x, p: math.exp(p * float(x)),
-    "exp_minus_one": lambda x, p: math.exp(float(x)) - 1.0,
+    "exp_minus_one": lambda x, p: math.expm1(float(x)),
 }
 SCORES = [rg.ScoreFunction.constant(), rg.ScoreFunction.identity(),
           *map(rg.ScoreFunction.power, (1e-3, 0.5, 2.0, 8.0, 300.0)),
@@ -109,6 +109,16 @@ def test_score_column_is_bit_identical_to_the_per_call_definition(f):
     assert list(map(float.hex, f.column(xs))) == want
     assert [float.hex(f(x)) for x in xs] == want
     assert f.column([]) == []
+
+
+def test_exp_minus_one_keeps_small_scores_apart():
+    # e**x - 1 computed as exp(x) - 1.0 cancels to 0.0 below about 1e-16, and
+    # a topic whose scores are all 0.0 is split evenly
+    game = rg.make_game(("1",), ((F(1, 10**17),), (F(2, 10**17),)),
+                        rg.Mediator.scoring(rg.ScoreFunction.exp_minus_one()))
+    u1, u2 = rg.utility_vector(game, (1, 1))
+    # in the ratio 1:2, not 1:1
+    assert math.isclose(u1, 1 / 3) and math.isclose(u2, 2 / 3)
 
 
 def test_score_function_param_validation():

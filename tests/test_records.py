@@ -21,11 +21,11 @@ GAME_REPR = (
 )
 TRAJ = rg.Trajectory((1, 1), (), (1, 1))
 TRAJ_REPR = "Trajectory(initial=(1, 1), steps=(), terminal=(1, 1))"
-CONFIG = rg.ExperimentConfig(0, 1, (1, 2), (1, 2), checks=frozenset({"fip"}))
+CONFIG = rg.ExperimentConfig(0, 1, (1, 2), (1, 2), budget=1000)
 CONFIG_REPR = (
     "ExperimentConfig(seed=0, games=1, n_range=(1, 2), m_range=(1, 2), "
-    "mediator=Mediator(kind='prp', f=None), scheme='exposure', checks=frozenset({'fip'}), "
-    "budget=1000000, generic_Q=True, sorted_D=True, denominator_bound=1000)"
+    "mediator=Mediator(kind='prp', f=None), scheme='exposure', budget=1000, "
+    "generic_Q=True, sorted_D=True, denominator_bound=1000)"
 )
 STATS = PathStatistics(((F(1, 2),),), ((1,),), (1,), (F(1, 2),))
 STATS_REPR = (
@@ -84,11 +84,11 @@ RECORDS = [
     (rg.CounterexampleBundle, (GAME, ((1, 1), (1, 1)), {"eps": F(1, 2)}), ("game", "cycle", "params"),
      {}, f"CounterexampleBundle(game={GAME_REPR}, cycle=((1, 1), (1, 1)), "
      "params={'eps': Fraction(1, 2)})", False, True),
-    (rg.ExperimentConfig, (0, 1, (1, 2), (1, 2), rg.PRP, "exposure", frozenset({"fip"})),
-     ("seed", "games", "n_range", "m_range", "mediator", "scheme", "checks", "budget",
+    (rg.ExperimentConfig, (0, 1, (1, 2), (1, 2), rg.PRP, "exposure", 1000),
+     ("seed", "games", "n_range", "m_range", "mediator", "scheme", "budget",
       "generic_Q", "sorted_D", "denominator_bound"),
-     {"mediator": rg.PRP, "scheme": "exposure", "checks": frozenset(rg.harness.CHECKS),
-      "budget": rg.DEFAULT_BUDGET, "generic_Q": True, "sorted_D": True, "denominator_bound": 1000},
+     {"mediator": rg.PRP, "scheme": "exposure", "budget": rg.DEFAULT_BUDGET,
+      "generic_Q": True, "sorted_D": True, "denominator_bound": 1000},
      CONFIG_REPR, True, True),
     (rg.ExperimentReport, (CONFIG, [{"game": 0}], {"games": 1}), ("config", "rows", "aggregate"),
      {"rows": [], "aggregate": {}},

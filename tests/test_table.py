@@ -194,8 +194,7 @@ def test_utility_vector_unchanged_by_the_table(game):
 
 def test_suite_pne_count_matches_enumeration():
     cfg = rg.ExperimentConfig(games=12, seed=3, n_range=(2, 3), m_range=(2, 3),
-                              checks=frozenset({"pne"}), generic_Q=False,
-                              denominator_bound=3)
+                              generic_Q=False, denominator_bound=3)
     for row in rg.run_experiment_suite(cfg).rows:
         game = rg.generate_random_game(row["seed"], row["n"], row["m"], generic_Q=False,
                                        denominator_bound=3)
