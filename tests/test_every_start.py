@@ -78,9 +78,11 @@ def test_pass_matches_per_start_runs_4x3(mediator, seed):
 
 # ---------- the suite ----------
 
-def _suite_row(monkeypatch, game):
+def _suite_row(monkeypatch, game, checks):
     monkeypatch.setattr(harness, "generate_random_game", lambda *args, **kwargs: game)
-    cfg = rg.ExperimentConfig(seed=0, games=1, n_range=(game.n, game.n), m_range=(game.m, game.m))
+    # a config document that still names a subset of checks is read whole
+    cfg = harness.config_from_dict({"seed": 0, "games": 1, "n_range": [game.n, game.n],
+                                    "m_range": [game.m, game.m], "checks": checks})
     return rg.run_experiment_suite(cfg).rows[0]
 
 
@@ -92,12 +94,14 @@ CYCLIC_GAMES = {
 }
 
 
+@pytest.mark.parametrize("checks", [["dynamics"], ["fip", "dynamics"]])
 @pytest.mark.parametrize("name", CYCLIC_GAMES)
-def test_cyclic_games_run_each_start(name, monkeypatch):
+def test_cyclic_games_run_each_start(name, checks, monkeypatch):
     game = CYCLIC_GAMES[name]()
     assert not rg.has_fip(game)[0]
     converged, worst = converge_per_start(game)
-    row = _suite_row(monkeypatch, game)
+    row = _suite_row(monkeypatch, game, checks)
+    assert row["pne_count"] == len(rg.enumerate_pne(game))
     assert row["dynamics_converged"] is converged
     assert row.get("steps_to_converge") == (worst if converged else None)
     assert row["fip"] is False
