@@ -29,7 +29,6 @@ from .errors import (
     CyclicGraphError,
     PreconditionError,
     TrajectoryError,
-    ValidationError,
 )
 from .model import (
     ACTION,
@@ -56,13 +55,18 @@ _ZERO = Fraction(0)
 _TOL = 1e-9
 
 
-def _check_budget(game: Game, budget: int):
-    if budget < 1:
-        raise ValidationError(f"the enumeration budget must be at least 1, got {budget}")
-    if game.m**game.n > budget:
-        raise BudgetExceededError(
-            f"{game.m}^{game.n} profiles exceed the enumeration budget {budget}"
-        )
+def _within_budget(n: int, m: int) -> bool:
+    """Whether an analysis of n authors and m topics fits the budget: one
+    test bounds its m^n profiles and its table's 2^n writer sets. A base of
+    at least 2 exceeds the budget once n reaches its bit length."""
+    return max(m, 2) ** min(n, DEFAULT_BUDGET.bit_length()) <= DEFAULT_BUDGET
+
+
+def _check_budget(game: Game):
+    n, m = game.n, game.m
+    if not _within_budget(n, m):
+        what = f"{m}^{n} profiles" if m > 1 else f"2^{n} writer sets"
+        raise BudgetExceededError(f"{what} exceed the enumeration budget {DEFAULT_BUDGET}")
 
 
 # ---------- the profile space ----------
@@ -147,10 +151,10 @@ class ImprovementGraph(_Record):
         return [self.profile_of(i) for i, out in enumerate(self.adj) if not out]
 
 
-def improvement_graph(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> ImprovementGraph:
+def improvement_graph(game: Game, margin: float = 0.0) -> ImprovementGraph:
     """The complete single-author strict-improvement graph."""
     check_tolerance(margin)
-    _check_budget(game, budget)
+    _check_budget(game)
     n, m = game.n, game.m
     size = m**n
     by_set, _ = _writer_set_table(game)
@@ -311,18 +315,18 @@ def shortest_cycle(graph: ImprovementGraph) -> list[Profile] | None:
     return [graph.profile_of(i) for i in best]
 
 
-def has_fip(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0):
+def has_fip(game: Game, margin: float = 0.0):
     """(True, None) when the improvement graph is acyclic, else
     (False, witness) with a shortest improvement cycle, closed."""
-    graph = improvement_graph(game, budget, margin)
+    graph = improvement_graph(game, margin)
     if _is_acyclic(graph.adj):
         return True, None
     return False, shortest_cycle(graph)
 
 
-def enumerate_pne(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> list[Profile]:
+def enumerate_pne(game: Game, margin: float = 0.0) -> list[Profile]:
     """All pure Nash equilibria, in canonical profile order."""
-    return improvement_graph(game, budget, margin).sinks()
+    return improvement_graph(game, margin).sinks()
 
 
 def longest_improvement_path(graph: ImprovementGraph) -> int:
@@ -335,10 +339,10 @@ def longest_improvement_path(graph: ImprovementGraph) -> int:
 
 # ---------- every start at once ----------
 
-def _converge_on_graph(graph, fip: bool, max_steps: int) -> tuple[bool, int]:
+def _converge_on_graph(graph, fip: bool) -> tuple[bool, int]:
     """(converged, worst) over the better-response runs at margin 0 from
     every start under RoundRobin() and FirstDeviator(): whether all of them
-    converge within max_steps, and the most steps a converged one takes.
+    converge, and the most steps a converged one takes.
 
     The runs are read off the game's improvement graph at margin 0, graph,
     whose acyclicity is fip; no kernel state is built. Author j's moves at
@@ -405,9 +409,9 @@ def _converge_on_graph(graph, fip: bool, max_steps: int) -> tuple[bool, int]:
         togo: dict[int, int] = {}
         runs += [memoized(x * n, first, togo) if fip else alone(x * n, first)
                  for x in range(len(succ))]
-    # a run converges when it reaches a PNE within max_steps; one that
-    # repeats a profile does not, before or after the budget runs out
-    done = [r for r in runs if r is not None and r <= max_steps]
+    # a run that reaches a PNE visits distinct profiles, fewer than m^n <=
+    # DEFAULT_BUDGET, so run_dynamics' default step cap never binds here
+    done = [r for r in runs if r is not None]
     return len(done) == len(runs), max(done, default=0)
 
 
@@ -465,7 +469,7 @@ def potential_residual(game: Game, i: int, j: int, topics_i, topics_j, base) -> 
     return u21 - u11 + v22 - v21 + u12 - u22 + v11 - v12
 
 
-def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET) -> PotentialReport:
+def exact_potential_check(game: Game) -> PotentialReport:
     """Test every 2x2 subgame for separability and report the worst residual.
 
     An exact potential exists iff every 2x2 subgame is separable (Monderer
@@ -481,7 +485,7 @@ def exact_potential_check(game: Game, budget: int = DEFAULT_BUDGET) -> Potential
     at the witness. The witness is the first subgame in the order pair,
     rest, (s1, s2), (t1, t2) that attains the worst residual.
     """
-    _check_budget(game, budget)
+    _check_budget(game)
     n, m = game.n, game.m
     exact = game.mediator.kind != "scoring"
     if n < 2 or m < 2:  # no 2x2 subgame
@@ -711,23 +715,22 @@ def rand_to_prp_reduction(game: Game) -> Game:
 
 # ---------- report serialization ----------
 
-def analysis_report(game: Game, budget: int = DEFAULT_BUDGET, margin: float = 0.0) -> dict:
+def analysis_report(game: Game, margin: float = 0.0) -> dict:
     """Full analysis as a JSON-ready dict: fip (+ cycle witness), pne list,
     longest path (acyclic case), and the exact-potential report."""
-    return _analysis(game, budget, margin)[0]
+    return _analysis(game, margin)[0]
 
 
-def _analysis(game: Game, budget: int = DEFAULT_BUDGET,
-              margin: float = 0.0) -> tuple[dict, ImprovementGraph]:
+def _analysis(game: Game, margin: float = 0.0) -> tuple[dict, ImprovementGraph]:
     """analysis_report's dict and the improvement graph it was read from."""
-    graph = improvement_graph(game, budget, margin)
+    graph = improvement_graph(game, margin)
     # one topological sort per graph: it fails only on a cyclic one
     try:
         report: dict = {"fip": True, "longest_path": longest_improvement_path(graph)}
     except CyclicGraphError:
         report = {"fip": False, "cycle": [list(p) for p in shortest_cycle(graph)]}
     report["pne"] = [list(a) for a in graph.sinks()]
-    pot = exact_potential_check(game, budget)
+    pot = exact_potential_check(game)
     witness = None
     if pot.witness is not None:
         witness = {

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, RankgamesError, ValidationError
-from .model import _SCORE_KINDS, DEFAULT_BUDGET, ScoreFunction, game_from_dict
+from .model import _SCORE_KINDS, ScoreFunction, game_from_dict
 from .dynamics import (
     BEST,
     BETTER,
@@ -92,7 +92,7 @@ def _cmd_example(args) -> int:
 
 def _cmd_analyze(args) -> int:
     game = game_from_dict(_read_json(args.game))
-    report = analysis_report(game, budget=args.budget, margin=args.margin)
+    report = analysis_report(game, margin=args.margin)
     _write_output(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="improvement graph, equilibria, potential")
     p.add_argument("game", help="path to a game JSON file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_analyze)

@@ -22,7 +22,7 @@ class TrajectoryError(ValidationError):
 
 
 class BudgetExceededError(RankgamesError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive analysis would exceed the enumeration budget, DEFAULT_BUDGET."""
 
 
 class CyclicGraphError(RankgamesError):

@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .model import (
     DEFAULT_BUDGET,
     EXPOSURE,
@@ -31,8 +31,7 @@ from .model import (
     _Record,
     _set,
 )
-from .dynamics import default_max_steps
-from .analysis import _analysis, _converge_on_graph
+from .analysis import _analysis, _converge_on_graph, _within_budget
 
 
 # ---------- the worked example ----------
@@ -115,7 +114,6 @@ def generate_random_game(
         weights = [rng.randint(1, d) for _ in range(m)]
 
     # numerators[i * m + k] / d is author i+1's quality on topic k+1
-    # positional, as the generic record constructor binds keywords one by one
     return Game(sum(weights), weights, (d,) * m, [numerators[k::m] for k in range(m)],
                 mediator, scheme)
 
@@ -182,30 +180,29 @@ class ExperimentConfig(_Record):
     """Deterministic description of a batch run."""
 
     __match_args__ = __slots__ = (
-        "seed", "games", "n_range", "m_range", "mediator", "scheme", "budget",
+        "seed", "games", "n_range", "m_range", "mediator", "scheme",
         "generic_Q", "sorted_D", "denominator_bound",
     )
 
     def __init__(self, seed: int, games: int, n_range: tuple[int, int], m_range: tuple[int, int],
-                 mediator: Mediator = PRP, scheme: str = EXPOSURE, budget: int = DEFAULT_BUDGET,
+                 mediator: Mediator = PRP, scheme: str = EXPOSURE,
                  generic_Q: bool = True, sorted_D: bool = True, denominator_bound: int = 1000):
         if games < 0:
             raise ValidationError("games must be nonnegative")
         if games > DEFAULT_BUDGET:
             raise ValidationError(f"games must be at most {DEFAULT_BUDGET}, got {games}")
-        for name, (lo, hi) in (("n_range", n_range), ("m_range", m_range)):
-            if not 1 <= lo <= hi:
+        for name, pair in (("n_range", n_range), ("m_range", m_range)):
+            if not (type(pair) is tuple and len(pair) == 2 and all(type(x) is int for x in pair)):
+                raise ValidationError(f"{name} must be a tuple of two ints, got {pair!r}")
+            if not 1 <= pair[0] <= pair[1]:
                 raise ValidationError(f"{name} must satisfy 1 <= lo <= hi")
         # as the game and its generator check them, at the smallest game,
         # so that 0 games reject them too
         if scheme not in SCHEMES:
             raise ValidationError(f"unknown utility scheme {scheme!r}")
         _check_generator_args(n_range[0], m_range[0], generic_Q, sorted_D, denominator_bound)
-        if not isinstance(budget, int):
-            raise ValidationError(f"budget must be an int, got {budget!r}")
-        # for m >= 2, m^n exceeds the budget once n exceeds its bit length,
-        # so a larger n is not raised to its power
-        if m_range[1] ** min(n_range[1], budget.bit_length() + 1) > budget:
+        # the budget rule rises with n and m, so the largest game decides it
+        if not _within_budget(n_range[1], m_range[1]):
             raise ValidationError("ranges exceed the enumeration budget")
         _set(self, "seed", seed)
         _set(self, "games", games)
@@ -213,7 +210,6 @@ class ExperimentConfig(_Record):
         _set(self, "m_range", m_range)
         _set(self, "mediator", mediator)
         _set(self, "scheme", scheme)
-        _set(self, "budget", budget)
         _set(self, "generic_Q", generic_Q)
         _set(self, "sorted_D", sorted_D)
         _set(self, "denominator_bound", denominator_bound)
@@ -242,7 +238,6 @@ def config_from_dict(d) -> ExperimentConfig:
             m_range=tuple(typed(int, "m_range")),
             mediator=mediator_from_dict(d.get("mediator", {"kind": "prp"})),
             scheme=d.get("scheme", EXPOSURE),
-            budget=typed(int, "budget", DEFAULT_BUDGET),
             generic_Q=typed(bool, "generic_Q", True),
             sorted_D=typed(bool, "sorted_D", True),
             denominator_bound=typed(int, "denominator_bound", 1000),
@@ -287,7 +282,7 @@ class ExperimentReport(_Record):
                 "mediator": mediator_to_dict(self.config.mediator),
                 "scheme": self.config.scheme,
                 "checks": sorted(CHECKS),
-                "budget": self.config.budget,
+                "budget": DEFAULT_BUDGET,
                 "generic_Q": self.config.generic_Q,
                 "sorted_D": self.config.sorted_D,
                 "denominator_bound": self.config.denominator_bound,
@@ -307,7 +302,8 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
     round-robin and first-deviator run off that analysis's improvement
     graph (analysis._converge_on_graph): it builds no kernel state and
     calls no run_dynamics.
-    Per-game budget overruns are recorded in the row, not raised.
+    No game exceeds the enumeration budget, since ExperimentConfig checks
+    its largest, so the aggregate's budget_errors is always 0.
     When out_dir is given, writes report.csv and report.json there.
     """
     rng = random.Random(config.seed)
@@ -329,22 +325,19 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
         )
         row = {"seed": game_seed, "n": n, "m": m,
                "mediator": config.mediator.kind, "scheme": config.scheme}
-        try:
-            # every check reads the one full analysis and its graph
-            analysis, graph = _analysis(game, config.budget)
-            acyclic = row["fip"] = analysis["fip"]
-            if acyclic:
-                row["max_path_len"] = analysis["longest_path"]
-            else:
-                cycles.append(analysis["cycle"])
-            row["pne_count"] = len(analysis["pne"])
-            row["potential_exists"] = analysis["potential"]["exists"]
-            converged, worst = _converge_on_graph(graph, acyclic, default_max_steps(game))
-            row["dynamics_converged"] = converged
-            if converged:
-                row["steps_to_converge"] = worst
-        except BudgetExceededError:
-            row["error"] = "budget"
+        # every check reads the one full analysis and its graph
+        analysis, graph = _analysis(game)
+        acyclic = row["fip"] = analysis["fip"]
+        if acyclic:
+            row["max_path_len"] = analysis["longest_path"]
+        else:
+            cycles.append(analysis["cycle"])
+        row["pne_count"] = len(analysis["pne"])
+        row["potential_exists"] = analysis["potential"]["exists"]
+        converged, worst = _converge_on_graph(graph, acyclic)
+        row["dynamics_converged"] = converged
+        if converged:
+            row["steps_to_converge"] = worst
         report.rows.append(row)
 
     def column(key):
@@ -353,7 +346,7 @@ def run_experiment_suite(config: ExperimentConfig, out_dir=None) -> ExperimentRe
     fips = column("fip")
     steps_all = column("steps_to_converge")
     potentials = column("potential_exists")
-    agg = {"games": config.games, "budget_errors": len(column("error"))}
+    agg = {"games": config.games, "budget_errors": 0}
     if fips:
         agg["fip_rate"] = sum(fips) / len(fips)
     if steps_all:

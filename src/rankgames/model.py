@@ -41,9 +41,9 @@ EXPOSURE = "exposure"
 ACTION = "action"
 SCHEMES = (EXPOSURE, ACTION)
 
-# Bound on the profiles an exhaustive analysis enumerates, on the steps a
-# dynamics run takes when no step budget is given, and on the games an
-# experiment suite runs.
+# The enumeration budget: an analysis runs only when max(m, 2)^n is at most
+# this (analysis._within_budget). It also caps the steps a dynamics run
+# takes when no step budget is given, and the games a suite runs.
 DEFAULT_BUDGET = 10**6
 
 

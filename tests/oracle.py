@@ -371,15 +371,16 @@ def rosenthal_potential(game, a):
 
 # ---------- the suite's dynamics check ----------
 
-def converge_per_start(game, max_steps=None):
+def converge_per_start(game):
     """(converged, worst) over the better-response runs from every start
-    under RoundRobin() and FirstDeviator(), one run_dynamics call per run:
-    whether every run converges, and the most steps a converged one takes."""
+    under RoundRobin() and FirstDeviator(), one run_dynamics call per run at
+    its default step cap: whether every run converges, and the most steps a
+    converged one takes."""
     worst = 0
     converged = True
     for init in rg.iter_profiles(game.n, game.m):
         for sched in (rg.RoundRobin(), rg.FirstDeviator()):
-            outcome = rg.run_dynamics(game, init, sched, max_steps)
+            outcome = rg.run_dynamics(game, init, sched)
             if isinstance(outcome, rg.ConvergedPNE):
                 worst = max(worst, outcome.steps_taken)
             else:

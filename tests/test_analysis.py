@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 import rankgames as rg
-from rankgames.analysis import _is_acyclic, _replay
+from rankgames.analysis import _check_budget, _is_acyclic, _replay
 from rankgames.dynamics import Step, Trajectory
 from rankgames.errors import (
     BudgetExceededError,
@@ -37,14 +38,35 @@ def test_improvement_graph_edges_are_single_author_improvements(exposure_example
             assert rg.improves(rg.utility(g, a, j), rg.utility(g, b, j))
 
 
+ANALYSES = (rg.improvement_graph, rg.has_fip, rg.enumerate_pne,
+            rg.exact_potential_check, rg.analysis_report)
+
+
 def test_budget_guard():
-    g = rg.generate_random_game(0, 3, 3, denominator_bound=50)
-    with pytest.raises(BudgetExceededError):
-        rg.improvement_graph(g, budget=10)
-    with pytest.raises(BudgetExceededError):
-        rg.enumerate_pne(g, budget=10)
-    with pytest.raises(BudgetExceededError):
-        rg.exact_potential_check(g, budget=10)
+    # 2^20 = 1,048,576 profiles, just past DEFAULT_BUDGET: every analysis
+    # refuses the game before it builds anything
+    g = rg.generate_random_game(0, 20, 2)
+    start = time.perf_counter()
+    for analysis in ANALYSES:
+        with pytest.raises(BudgetExceededError, match=r"^2\^20 profiles exceed"):
+            analysis(g)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_one_topic_games_are_bounded_by_their_writer_sets(n):
+    # one profile, but the writer-set table holds n * 2^n entries
+    g = rg.generate_random_game(0, n, 1)
+    start = time.perf_counter()
+    for analysis in ANALYSES:
+        with pytest.raises(BudgetExceededError, match=rf"^2\^{n} writer sets exceed"):
+            analysis(g)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_game_of_exactly_the_budget_passes_the_check():
+    # 10^6 profiles; only the check runs, not the 25 s analysis
+    _check_budget(rg.generate_random_game(0, 6, 10))
 
 
 # ---------- fip / pne / paths ----------

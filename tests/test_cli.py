@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from functools import reduce
@@ -83,6 +84,8 @@ def test_bad_margin_or_tolerance_exits_2(argv, game_file, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # the budget is the constant DEFAULT_BUDGET and --budget is gone, so
+    # these budgets, below 1, are rejected by the parser
     ["analyze", "{game}", "--budget", "-1"],
     ["analyze", "{game}", "--budget", "0"],
     # x1 is the constant 1.0 and --x1 is gone, so these once out-of-range
@@ -102,11 +105,10 @@ def test_out_of_range_argument_exits_2(argv, game_file, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "{game}", "--budget", "abc"],
     # argparse reads "-1e-12" as an option, so --margin gets no value
     ["analyze", "{game}", "--margin", "-1e-12"],
     ["simulate", "{game}", "--init", "2,2", "--scheduler", "nope"],
-], ids=["analyze budget abc", "analyze margin -1e-12 as an option", "simulate scheduler nope"])
+], ids=["analyze margin -1e-12 as an option", "simulate scheduler nope"])
 def test_argument_rejected_by_the_parser_exits_2(argv, game_file, capsys):
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: argument ")
@@ -115,9 +117,12 @@ def test_argument_rejected_by_the_parser_exits_2(argv, game_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "{game}", "--tol", "1e-9"],
     ["counterexample", "thm3", "--x1", "1"],
-], ids=["analyze tol", "counterexample x1"])
+    ["analyze", "{game}", "--budget", "10"],
+    ["analyze", "{game}", "--budget", "abc"],
+], ids=["analyze tol", "counterexample x1", "analyze budget", "analyze budget abc"])
 def test_removed_options_are_unrecognized(argv, game_file, capsys):
-    # the potential scan's tolerance and the constructions' top quality are constants
+    # the potential scan's tolerance, the constructions' top quality and
+    # the enumeration budget are constants
     assert main([a.format(game=game_file) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
 
@@ -127,8 +132,17 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: rankgames analyze")
 
 
-def test_analyze_tiny_budget_exits_3(game_file, capsys):
-    assert main(["analyze", game_file, "--budget", "2"]) == 3
+@pytest.mark.parametrize("n, m", [(20, 2), (30, 1)])
+def test_analyze_over_budget_exits_3(n, m, tmp_path, capsys):
+    # 2^20 profiles, and a one-topic game whose 2^30 writer sets once
+    # exhausted memory: each is refused before any table is built
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rg.game_to_dict(rg.generate_random_game(0, n, m))))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: 2^{n} {'profiles' if m > 1 else 'writer sets'} exceed the enumeration budget 1000000\n")
 
 
 def test_simulate_emits_jsonl_and_summary(game_file, capsys):
@@ -273,6 +287,19 @@ def test_suite_beyond_the_game_bound_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: games must be at most {rg.DEFAULT_BUDGET}, got {10**30}\n"
 
 
+@pytest.mark.parametrize("n, generic_Q", [(20, True), (10**12, False)], ids=["20x1", "10^12x1"])
+def test_suite_beyond_the_enumeration_budget_exits_2(n, generic_Q, tmp_path, capsys):
+    # one topic: one profile per game, but 2^n writer sets; the wide one
+    # once drew its 10^12 qualities until memory ran out
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "games": 1, "n_range": [n, n], "m_range": [1, 1],
+                                "generic_Q": generic_Q}))
+    start = time.perf_counter()
+    assert main(["suite", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: ranges exceed the enumeration budget\n"
+
+
 @pytest.mark.parametrize("games", [0, 1])
 @pytest.mark.parametrize("key, value, message", [
     ("scheme", "bogus", "error: unknown utility scheme 'bogus'\n"),
@@ -371,7 +398,7 @@ def _runs(draw):
     if command == "suite":
         config = {"seed": seed, "games": 2, "n_range": [1, 3], "m_range": [1, 3],
                   "mediator": mediator_to_dict(mediator), "scheme": scheme,
-                  "budget": 1000, "generic_Q": draw(st.booleans()),
+                  "generic_Q": draw(st.booleans()),
                   "sorted_D": draw(st.booleans()), "denominator_bound": 60}
         # the game count asks for that much work: a large one is no bad input
         return ["suite"], draw(_mutated(config, fixed={("games",)}))
@@ -386,8 +413,7 @@ def _runs(draw):
         return f"--{name}={draw(st.just(valid) | st.sampled_from(odd))}"
 
     if command == "analyze":
-        argv = ["analyze", flag("budget", "1000", "-1", "0", "1", "1" * 30),
-                flag("margin", "0", *_FLOATS)]
+        argv = ["analyze", flag("margin", "0", *_FLOATS)]
     else:
         init = ",".join(map(str, draw(st.lists(st.integers(1, m), min_size=n, max_size=n))))
         order = ",".join(map(str, range(n, 0, -1)))

@@ -2,11 +2,12 @@
 
 The walk over the graph's out-lists must give the same (converged, worst)
 as one run_dynamics call per start and scheduler, the per-start oracle, on
-acyclic and cyclic games and at any step budget.
+acyclic and cyclic games. The oracle runs at run_dynamics' default step cap,
+which no converging run reaches, so the walk has none.
 """
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rankgames as rg
 from rankgames import harness
@@ -31,10 +32,10 @@ def _game(seed, n, m, mediator, scheme, tie_rich):
     )
 
 
-def _walk(game, max_steps=None):
+def _walk(game):
     graph = rg.improvement_graph(game)
     fip = rg.has_fip(game)[0]
-    return _converge_on_graph(graph, fip, max_steps or rg.default_max_steps(game))
+    return _converge_on_graph(graph, fip)
 
 
 def _assert_same(got, want):
@@ -57,11 +58,9 @@ def small_games(draw):
 
 
 @settings(max_examples=400)
-@given(small_games(), st.sampled_from((None, 1, 2, 3)))
-# a 3x3 prp game whose longest run takes 4 steps, so budget 3 fails it
-@example(_game(2, 3, 3, rg.PRP, rg.EXPOSURE, False), 3)
-def test_pass_matches_per_start_runs(game, max_steps):
-    _assert_same(_walk(game, max_steps), converge_per_start(game, max_steps))
+@given(small_games())
+def test_pass_matches_per_start_runs(game):
+    _assert_same(_walk(game), converge_per_start(game))
 
 
 @pytest.mark.parametrize("mediator", MEDIATORS, ids=lambda med: med.kind + (f"-{med.f.kind}" if med.f else ""))
@@ -72,8 +71,6 @@ def test_pass_matches_per_start_runs_4x3(mediator, seed):
     want = converge_per_start(game)
     assert want[0]
     assert _walk(game) == want
-    # one step short of the longest run
-    _assert_same(_walk(game, want[1] - 1), converge_per_start(game, want[1] - 1))
 
 
 # ---------- the suite ----------
@@ -105,8 +102,6 @@ def test_cyclic_games_run_each_start(name, checks, monkeypatch):
     assert row["dynamics_converged"] is converged
     assert row.get("steps_to_converge") == (worst if converged else None)
     assert row["fip"] is False
-    for max_steps in (1, 2, 3):
-        _assert_same(_walk(game, max_steps), converge_per_start(game, max_steps))
 
 
 SUITE_CONFIGS = {

@@ -1,12 +1,14 @@
 import json
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import rankgames as rg
-from rankgames.errors import PreconditionError, ValidationError
+from rankgames.analysis import _check_budget
+from rankgames.errors import BudgetExceededError, PreconditionError, ValidationError
 from rankgames.harness import config_from_dict, format_example_tables
 
 
@@ -122,24 +124,16 @@ def test_config_round_trip_and_defaults():
     cfg = config_from_dict(doc)
     assert cfg.mediator == rg.PRP
     assert cfg.scheme == rg.EXPOSURE
-    assert cfg.budget == rg.DEFAULT_BUDGET
-    # every suite runs every check: a checks key is ignored, as other unknown keys are
-    assert config_from_dict({**doc, "checks": ["fip", "entropy"], "extra": 1}) == cfg
+    # every suite runs every check and the budget is DEFAULT_BUDGET: a checks
+    # or budget key is ignored, as other unknown keys are
+    assert config_from_dict({**doc, "checks": ["fip", "entropy"], "budget": 10, "extra": 1}) == cfg
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
         config_from_dict({"seed": 1, "games": 3, "n_range": [2, 1], "m_range": [2, 2]})
     with pytest.raises(ValidationError):
-        config_from_dict({"seed": 1, "games": 3, "n_range": [2, 30],
-                          "m_range": [2, 10], "budget": 1000})
-    # the budget check does not build 3^(10^7) first
-    start = time.perf_counter()
-    with pytest.raises(ValidationError, match="ranges exceed the enumeration budget"):
-        config_from_dict({"seed": 1, "games": 0, "n_range": [1, 10**7], "m_range": [3, 3]})
-    assert time.perf_counter() - start < 1.0
-    with pytest.raises(ValidationError, match="budget must be an int"):
-        rg.ExperimentConfig(seed=1, games=0, n_range=(2, 2), m_range=(2, 2), budget=1e6)
+        config_from_dict({"seed": 1, "games": 3, "n_range": [2, 30], "m_range": [2, 10]})
     with pytest.raises(ValidationError):
         config_from_dict({"games": 3, "n_range": [2, 2], "m_range": [2, 2]})
     with pytest.raises(ValidationError):
@@ -154,25 +148,46 @@ def test_config_validation():
         # a range is exactly two ints
         {"n_range": [2, 2, 9]}, {"m_range": [2]}, {"n_range": []}, {"m_range": "23"},
         {"n_range": {"0": 2, "1": 3}},
-        {"budget": 1e6}, {"denominator_bound": False},
+        {"denominator_bound": False},
         {"generic_Q": "false"}, {"sorted_D": 0}, {"generic_Q": None},
     ):
         with pytest.raises(ValidationError, match="^bad experiment config"):
             config_from_dict({**good, **change})
 
 
-def test_budget_check_is_the_power_test():
-    for m in (1, 2, 3, 7):
-        for n in (1, 2, 5, 9, 10, 11, 40):
-            for budget in (-1, 0, 1, 2, 3**9, 2**10 - 1, 2**10, 7**9, 10**6):
-                try:
-                    rg.ExperimentConfig(seed=0, games=0, n_range=(1, n), m_range=(1, m),
-                                        budget=budget)
-                except ValidationError:
-                    raised = True
-                else:
-                    raised = False
-                assert raised == (m**n > budget), (m, n, budget)
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 1000, 1001])
+def test_budget_check_is_the_power_test(m):
+    """The game check and the config check are one rule: max(m, 2)^n <=
+    DEFAULT_BUDGET, on both sides of the budget, and at n = 10^7 without
+    building the power."""
+    base = max(m, 2)
+    top = max(n for n in range(1, 21) if base**n <= rg.DEFAULT_BUDGET)
+    start = time.perf_counter()
+    for n in (1, top, top + 1, 10**7):
+        try:
+            _check_budget(SimpleNamespace(n=n, m=m))
+        except BudgetExceededError:
+            game_fits = False
+        else:
+            game_fits = True
+        try:
+            rg.ExperimentConfig(seed=0, games=0, n_range=(1, n), m_range=(1, m))
+        except ValidationError:
+            config_fits = False
+        else:
+            config_fits = True
+        assert game_fits == config_fits == (n <= top), (m, n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_config_ranges_are_pairs_of_ints():
+    # both once constructed, and the suite then raised a bare ValueError
+    for n_range in ((1.5, 2), (1, 2, 3)):
+        with pytest.raises(ValidationError, match="^n_range must be a tuple of two ints"):
+            rg.ExperimentConfig(0, 2, n_range=n_range, m_range=(1, 2))
+    for m_range in ((True, 2), [1, 2], (1,), 2):
+        with pytest.raises(ValidationError, match="^m_range must be a tuple of two ints"):
+            rg.ExperimentConfig(0, 2, n_range=(1, 2), m_range=m_range)
 
 
 def test_suite_runs_and_is_deterministic(tmp_path):
